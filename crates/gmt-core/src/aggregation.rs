@@ -187,7 +187,7 @@ pub struct AggStats {
     /// path no longer busy-spins on a dry pool).
     pub pool_dry_waits: u64,
     /// Combine-table age-flushes deferred because the destination peer
-    /// was backpressured (`flow_shed`).
+    /// was backpressured (load shedding).
     pub sheds: u64,
 }
 
@@ -202,9 +202,6 @@ pub struct AggStats {
 pub struct FlowState {
     backpressured: Vec<AtomicBool>,
     active: AtomicUsize,
-    /// Mirror of [`crate::config::Config::flow_shed`]: pump defers
-    /// combine-table age-flushes toward backpressured peers.
-    shed: AtomicBool,
 }
 
 impl FlowState {
@@ -212,7 +209,6 @@ impl FlowState {
         FlowState {
             backpressured: (0..destinations).map(|_| AtomicBool::new(false)).collect(),
             active: AtomicUsize::new(0),
-            shed: AtomicBool::new(false),
         }
     }
 
@@ -249,17 +245,6 @@ impl FlowState {
             return Vec::new();
         }
         (0..self.backpressured.len()).filter(|&d| self.is_backpressured(d)).collect()
-    }
-
-    /// Enables/disables load shedding (set once at runtime start from
-    /// `Config::flow_shed`).
-    pub fn set_shed(&self, on: bool) {
-        self.shed.store(on, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn shed(&self) -> bool {
-        self.shed.load(Ordering::Relaxed)
     }
 }
 
@@ -859,16 +844,15 @@ impl CommandSink {
             // Combining tables age on the block timeout: workers pump
             // every scheduler loop, so a merged add is delayed at most
             // one timeout past its emit — the liveness `wait_commands`
-            // depends on. Exception: toward a backpressured peer with
-            // `flow_shed` on, the age-flush is deferred (the table keeps
+            // depends on. Exception: toward a backpressured peer, the
+            // age-flush is deferred (the table keeps
             // merging, shedding fire-and-forget load off the full
             // window) until the peer recovers or the table ages past
             // `SHED_MAX_AGE_MULT` timeouts — the liveness bound holds,
             // just stretched while the peer is quarantined.
             let t = &self.combine[dst];
             if t.live > 0 && now.saturating_sub(t.born_ns) >= self.shared.cmd_block_timeout_ns {
-                let shed = self.shared.flow.shed()
-                    && self.shared.flow.is_backpressured(dst)
+                let shed = self.shared.flow.is_backpressured(dst)
                     && now.saturating_sub(t.born_ns)
                         < self.shared.cmd_block_timeout_ns.saturating_mul(SHED_MAX_AGE_MULT);
                 if shed {
@@ -1474,25 +1458,24 @@ mod tests {
 
     #[test]
     fn backpressured_peer_sheds_combine_age_flush() {
-        // Millisecond timeouts so a 2 ms sleep lands the table's age
-        // inside the shed window [timeout, 8 * timeout).
-        let shared = AggShared::new(2, 1, 4, 1024, 100, 1_000_000, 1_000_000, 0, 16);
-        shared.flow().set_shed(true);
+        // 10 ms timeouts so a 12 ms sleep lands the table's age inside
+        // the shed window [timeout, 8 * timeout) even on a loaded host.
+        let shared = AggShared::new(2, 1, 4, 1024, 100, 10_000_000, 10_000_000, 0, 16);
         shared.flow().set_backpressured(1, true);
         let mut sink = CommandSink::new(Arc::clone(&shared), 0);
         sink.emit(1, &add(9, 8, 2));
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(std::time::Duration::from_millis(12));
         sink.pump(); // aged, but backpressured → deferred, keeps merging
         assert!(drain_cmds(&shared, 0).is_empty(), "flush deferred while backpressured");
         assert!(shared.stats().sheds >= 1);
         sink.emit(1, &add(10, 8, 2)); // absorbed into the still-live entry
         assert_eq!(shared.stats().combine_hits, 1);
         shared.flow().set_backpressured(1, false);
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(std::time::Duration::from_millis(12));
         sink.pump(); // recovered → table flushes into a block
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(std::time::Duration::from_millis(12));
         sink.pump(); // block + queue age out
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(std::time::Duration::from_millis(12));
         sink.pump();
         let got = drain_cmds(&shared, 0);
         assert_eq!(got, vec![(1, 8, 4, vec![9, 10])]);
@@ -1503,7 +1486,6 @@ mod tests {
         // The peer never recovers, but the table still flushes once it
         // ages past SHED_MAX_AGE_MULT block timeouts (2 ms ≫ 8 µs).
         let shared = AggShared::new(2, 1, 4, 1024, 100, 1_000, 1_000, 0, 16);
-        shared.flow().set_shed(true);
         shared.flow().set_backpressured(1, true);
         let mut sink = CommandSink::new(Arc::clone(&shared), 0);
         sink.emit(1, &add(5, 8, 1));

@@ -89,12 +89,6 @@ pub struct Config {
     /// hold queue instead of the task spinning). `0` disables
     /// backpressure parking — emits never block on flow control.
     pub flow_park_ns: u64,
-    /// Shed load toward backpressured peers: while a peer is
-    /// backpressured, the combining table's age-based flushes toward it
-    /// are deferred (bounded memory — the table is fixed-size), so
-    /// fire-and-forget updates keep merging instead of piling up buffers
-    /// behind the window. Explicit flushes still go out.
-    pub flow_shed: bool,
     /// Age (ns) past which a task parked on remote completions is reported
     /// by the stuck-task watchdog.
     pub stuck_task_deadline_ns: u64,
@@ -159,7 +153,6 @@ impl Config {
             ack_delay_ns: 200_000,
             flow_window: 32,
             flow_park_ns: 2_000_000,
-            flow_shed: true,
             stuck_task_deadline_ns: 1_000_000_000,
             heartbeat_idle_ns: 50_000_000,
             suspect_after_ns: 500_000_000,
@@ -194,7 +187,6 @@ impl Config {
             ack_delay_ns: 100_000,
             flow_window: 32,
             flow_park_ns: 2_000_000,
-            flow_shed: true,
             stuck_task_deadline_ns: 1_000_000_000,
             heartbeat_idle_ns: 25_000_000,
             suspect_after_ns: 200_000_000,

@@ -7,7 +7,7 @@
 //! (default; deterministic, fault-injectable) or a TCP loopback mesh
 //! (`GMT_TRANSPORT=tcp-loopback`). A [`NodeRuntime`] is the
 //! multi-process shape: one node per OS process over a transport built
-//! by [`gmt_net::tcp::rendezvous`], booted by `gmt-launch`. Either way,
+//! by [`gmt_net::connect`], booted by `gmt-launch`. Either way,
 //! every node runs its configured worker threads, helper threads and
 //! the single communication server, exactly as in Figure 1.
 
@@ -22,7 +22,8 @@ use crate::{memory::NodeMemory, NodeId};
 use crossbeam::queue::SegQueue;
 use gmt_metrics::MetricsSnapshot;
 use gmt_net::{
-    shm, tcp, DeliveryMode, Fabric, FaultPlan, Payload, TrafficStats, Transport, TransportSelect,
+    loopback_mesh, shm_mesh, DeliveryMode, Fabric, FaultPlan, Payload, TrafficStats, Transport,
+    TransportSelect,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -550,13 +551,6 @@ pub struct Cluster {
     /// One transport per node; explicitly shut down (drained) after the
     /// comm threads join.
     transports: Vec<Arc<dyn Transport>>,
-    /// Concrete handles to the same transports on the TCP backend (empty
-    /// on sim), kept so [`Cluster::install_faults`] can reach the
-    /// per-sender fault shims.
-    tcp: Vec<Arc<tcp::TcpTransport>>,
-    /// Concrete handles on the shared-memory backend (empty otherwise),
-    /// for the same fault-shim access.
-    shm: Vec<Arc<shm::ShmTransport>>,
     /// Cluster-wide traffic counters (all transports of one in-process
     /// cluster share a single table on either backend).
     net: Arc<TrafficStats>,
@@ -660,7 +654,6 @@ fn boot_node(
         config.combine_window,
         metrics.registry(),
     );
-    agg.flow().set_shed(config.flow_shed);
     let shared = Arc::new(NodeShared {
         node_id,
         nodes,
@@ -771,44 +764,34 @@ impl Cluster {
                  use Cluster::start_sim"
                 .into());
         }
-        // Sim keeps the owning Fabric alive; TCP and shm keep concrete
-        // handles for fault installation alongside the erased transports.
-        type Backend = (
-            Option<Fabric>,
-            Vec<Arc<dyn Transport>>,
-            Vec<Arc<tcp::TcpTransport>>,
-            Vec<Arc<shm::ShmTransport>>,
-        );
-        let (fabric, transports, tcp_handles, shm_handles): Backend = match select {
+        // Sim keeps the owning Fabric alive alongside its endpoints.
+        fn erase<T: Transport + 'static>(mesh: Vec<T>) -> Vec<Arc<dyn Transport>> {
+            mesh.into_iter().map(|t| Arc::new(t) as Arc<dyn Transport>).collect()
+        }
+        let (fabric, transports) = match select {
             TransportSelect::Sim => {
                 let mode = match config.network {
                     Some(model) => DeliveryMode::Throttled(model),
                     None => DeliveryMode::Instant,
                 };
                 let fabric = Fabric::new(nodes, mode);
-                let transports = (0..nodes)
-                    .map(|n| Arc::new(fabric.endpoint(n)) as Arc<dyn Transport>)
-                    .collect();
-                (Some(fabric), transports, Vec::new(), Vec::new())
+                let transports = erase(fabric.endpoints());
+                (Some(fabric), transports)
             }
-            TransportSelect::TcpLoopback => {
-                let mesh: Vec<Arc<tcp::TcpTransport>> = tcp::loopback_mesh(nodes)
-                    .map_err(|e| format!("building the TCP loopback mesh: {e}"))?
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect();
-                let transports = mesh.iter().map(|t| Arc::clone(t) as Arc<dyn Transport>).collect();
-                (None, transports, mesh, Vec::new())
-            }
-            TransportSelect::Shm => {
-                let mesh: Vec<Arc<shm::ShmTransport>> = shm::shm_mesh(nodes)
-                    .map_err(|e| format!("building the shared-memory ring mesh: {e}"))?
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect();
-                let transports = mesh.iter().map(|t| Arc::clone(t) as Arc<dyn Transport>).collect();
-                (None, transports, Vec::new(), mesh)
-            }
+            TransportSelect::TcpLoopback => (
+                None,
+                erase(
+                    loopback_mesh(nodes)
+                        .map_err(|e| format!("building the TCP loopback mesh: {e}"))?,
+                ),
+            ),
+            TransportSelect::Shm => (
+                None,
+                erase(
+                    shm_mesh(nodes)
+                        .map_err(|e| format!("building the shared-memory ring mesh: {e}"))?,
+                ),
+            ),
         };
         let net = transports[0].stats_arc();
         let cluster_shared = Arc::new(ClusterShared {
@@ -852,8 +835,6 @@ impl Cluster {
             nodes: handles,
             fabric,
             transports,
-            tcp: tcp_handles,
-            shm: shm_handles,
             net,
             threads,
             stopped: false,
@@ -903,14 +884,7 @@ impl Cluster {
     pub fn install_faults(&self, plan: FaultPlan) {
         match &self.fabric {
             Some(f) => f.install_faults(plan),
-            None => {
-                for t in &self.tcp {
-                    t.install_faults(plan.clone());
-                }
-                for t in &self.shm {
-                    t.install_faults(plan.clone());
-                }
-            }
+            None => self.transports.iter().for_each(|t| t.install_faults(plan.clone())),
         }
     }
 
@@ -918,14 +892,7 @@ impl Cluster {
     pub fn clear_faults(&self) {
         match &self.fabric {
             Some(f) => f.clear_faults(),
-            None => {
-                for t in &self.tcp {
-                    t.clear_faults();
-                }
-                for t in &self.shm {
-                    t.clear_faults();
-                }
-            }
+            None => self.transports.iter().for_each(|t| t.clear_faults()),
         }
     }
 
@@ -1002,7 +969,7 @@ impl std::fmt::Debug for Cluster {
 /// Where [`Cluster`] owns every node, a `NodeRuntime` owns exactly one:
 /// the same worker/helper/comm thread complement, attached to an
 /// externally-built [`Transport`] (normally from
-/// [`gmt_net::tcp::rendezvous`]) whose `node()`/`nodes()` determine this
+/// [`gmt_net::connect`]) whose `node()`/`nodes()` determine this
 /// node's identity. The reliability, membership and flow-control layers
 /// run unchanged; every peer is simply in another process.
 ///

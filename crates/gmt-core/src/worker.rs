@@ -9,6 +9,7 @@
 use crate::aggregation::CommandSink;
 use crate::api::TaskCtx;
 use crate::command::Command;
+use crate::idle::IdleBackoff;
 use crate::metrics::ThreadTracer;
 use crate::runtime::NodeShared;
 use crate::task::{complete_token, Itb, ParentRef, RootTask, TaskControl};
@@ -18,7 +19,6 @@ use gmt_context::{Coroutine, Resume, Stack};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One live task: its coroutine plus the shared wake handle.
 struct Task {
@@ -267,7 +267,7 @@ pub(crate) fn notify_parent(node: &Arc<NodeShared>, parent: ParentRef) {
 pub fn worker_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
     tls::install(CommandSink::new(Arc::clone(&node.agg), chan));
     let mut w = Worker::new(node, chan, tracer);
-    let mut idle: u32 = 0;
+    let mut idle = IdleBackoff::default();
     loop {
         let mut progressed = false;
         // 1. Wakeups from helpers.
@@ -296,17 +296,12 @@ pub fn worker_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
         // 3. Flush aged command blocks / aggregation queues.
         tls::with_sink(|s| s.pump());
         if progressed {
-            idle = 0;
+            idle.reset();
         } else {
             if w.node.stopping() {
                 break;
             }
-            idle = idle.saturating_add(1);
-            if idle < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
+            idle.wait();
         }
     }
     // Flush whatever is left so in-flight protocols can drain elsewhere.

@@ -14,36 +14,25 @@
 //!    frames through shared-memory rings.
 
 use gmt_core::{Cluster, Config, Distribution, NodeRuntime, SpawnPolicy, Transport};
-use gmt_net::{loopback_mesh, seed_from_env, shm_mesh, FaultPlan, ShmTransport, TcpTransport};
+use gmt_net::{loopback_mesh, seed_from_env, shm_mesh, FaultPlan};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Boots `n` [`NodeRuntime`]s in this process over a TCP loopback mesh,
-/// returning them plus the concrete transports (kept so tests can
-/// install/clear faults after boot).
-fn boot_tcp_nodes(n: usize, config: &Config) -> (Vec<NodeRuntime>, Vec<Arc<TcpTransport>>) {
-    let transports: Vec<Arc<TcpTransport>> =
-        loopback_mesh(n).expect("loopback mesh").into_iter().map(Arc::new).collect();
-    let runtimes = transports
-        .iter()
-        .map(|t| {
-            let dyn_t: Arc<dyn Transport> = Arc::clone(t) as Arc<dyn Transport>;
-            NodeRuntime::start(dyn_t, config.clone()).expect("node boots")
-        })
+/// Boots one [`NodeRuntime`] per transport of an in-process `mesh`,
+/// returning them plus the transports (kept so tests can install/clear
+/// faults or tear a node's transport down after boot).
+fn boot_nodes<T: Transport + 'static>(
+    mesh: std::io::Result<Vec<T>>,
+    config: &Config,
+) -> (Vec<NodeRuntime>, Vec<Arc<dyn Transport>>) {
+    let transports: Vec<Arc<dyn Transport>> = mesh
+        .expect("in-process mesh")
+        .into_iter()
+        .map(|t| Arc::new(t) as Arc<dyn Transport>)
         .collect();
-    (runtimes, transports)
-}
-
-/// [`boot_tcp_nodes`], but the mesh is shared-memory rings.
-fn boot_shm_nodes(n: usize, config: &Config) -> (Vec<NodeRuntime>, Vec<Arc<ShmTransport>>) {
-    let transports: Vec<Arc<ShmTransport>> =
-        shm_mesh(n).expect("shm mesh").into_iter().map(Arc::new).collect();
     let runtimes = transports
         .iter()
-        .map(|t| {
-            let dyn_t: Arc<dyn Transport> = Arc::clone(t) as Arc<dyn Transport>;
-            NodeRuntime::start(dyn_t, config.clone()).expect("node boots")
-        })
+        .map(|t| NodeRuntime::start(Arc::clone(t), config.clone()).expect("node boots"))
         .collect();
     (runtimes, transports)
 }
@@ -56,7 +45,7 @@ fn boot_shm_nodes(n: usize, config: &Config) -> (Vec<NodeRuntime>, Vec<Arc<ShmTr
 /// applied twice).
 #[test]
 fn reliability_survives_lossy_tcp() {
-    let (runtimes, transports) = boot_tcp_nodes(3, &Config::small());
+    let (runtimes, transports) = boot_nodes(loopback_mesh(3), &Config::small());
     lossy_reliability_body(
         runtimes,
         seed_from_env(0xC0FF_EE01),
@@ -72,7 +61,7 @@ fn reliability_survives_lossy_tcp() {
 /// fault suites run unmodified on shm.
 #[test]
 fn reliability_survives_lossy_shm() {
-    let (runtimes, transports) = boot_shm_nodes(3, &Config::small());
+    let (runtimes, transports) = boot_nodes(shm_mesh(3), &Config::small());
     lossy_reliability_body(
         runtimes,
         seed_from_env(0xC0FF_EE02),
@@ -141,7 +130,7 @@ fn connection_loss_confirms_death_in_detection_time() {
     let mut config = Config::small();
     config.suspect_after_ns = 2_000_000_000;
     config.peer_death_timeout_ns = 10_000_000_000;
-    let (runtimes, transports) = boot_tcp_nodes(3, &config);
+    let (runtimes, transports) = boot_nodes(loopback_mesh(3), &config);
     // Let the mesh settle into heartbeat traffic.
     std::thread::sleep(Duration::from_millis(50));
 
@@ -164,10 +153,21 @@ fn connection_loss_confirms_death_in_detection_time() {
     assert_eq!(runtimes[1].node().membership_epoch(), 1);
     // Each survivor counted its lost connection exactly once (the mesh
     // shares one stats table; the victim's own teardown is suppressed).
-    assert_eq!(transports[0].stats().total().conn_lost, 2, "latency was {latency:?}");
+    assert_eq!(conn_lost_settled(&*transports[0], deadline), 2, "latency was {latency:?}");
     for rt in runtimes {
         rt.shutdown();
     }
+}
+
+/// The mesh-wide `conn_lost` count once both survivors recorded their
+/// own evidence, or at `deadline`. A survivor may confirm the death from
+/// the other's death notice a moment before its own reader or monitor
+/// records the loss, so the count can lag the confirmation.
+fn conn_lost_settled(t: &dyn Transport, deadline: Instant) -> u64 {
+    while t.stats().total().conn_lost < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    t.stats().total().conn_lost
 }
 
 /// The shm analogue of the test above: a peer whose transport is torn
@@ -182,7 +182,7 @@ fn peer_loss_evidence_confirms_death_on_shm() {
     let mut config = Config::small();
     config.suspect_after_ns = 2_000_000_000;
     config.peer_death_timeout_ns = 10_000_000_000;
-    let (runtimes, transports) = boot_shm_nodes(3, &config);
+    let (runtimes, transports) = boot_nodes(shm_mesh(3), &config);
     std::thread::sleep(Duration::from_millis(50));
 
     let t0 = Instant::now();
@@ -202,7 +202,7 @@ fn peer_loss_evidence_confirms_death_on_shm() {
     let latency = t0.elapsed();
     assert_eq!(runtimes[0].node().membership_epoch(), 1);
     assert_eq!(runtimes[1].node().membership_epoch(), 1);
-    assert_eq!(transports[0].stats().total().conn_lost, 2, "latency was {latency:?}");
+    assert_eq!(conn_lost_settled(&*transports[0], deadline), 2, "latency was {latency:?}");
     for rt in runtimes {
         rt.shutdown();
     }
@@ -217,7 +217,7 @@ fn crash_detection_latency_report() {
     for observe in [true, false] {
         let mut config = Config::small();
         config.observe_fabric_kills = observe;
-        let (runtimes, transports) = boot_tcp_nodes(2, &config);
+        let (runtimes, transports) = boot_nodes(loopback_mesh(2), &config);
         std::thread::sleep(Duration::from_millis(50));
         let t0 = Instant::now();
         Transport::shutdown(&*transports[1]);

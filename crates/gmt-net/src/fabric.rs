@@ -18,7 +18,7 @@
 //!   (the whole point of GMT's multithreading) observable for real inside
 //!   one process.
 
-use crate::fault::{FaultDecision, FaultPlan};
+use crate::fault::{FaultDecision, FaultPlan, InstalledPlan};
 use crate::model::NetworkModel;
 use crate::payload::Payload;
 use crate::stats::TrafficStats;
@@ -28,7 +28,6 @@ use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -87,17 +86,6 @@ pub enum DeliveryMode {
 struct Port {
     /// Wall-clock time until which the port is busy serializing.
     busy_until: Instant,
-}
-
-/// A [`FaultPlan`] installed on a fabric, with the runtime state that
-/// makes its decisions deterministic.
-struct InstalledPlan {
-    plan: FaultPlan,
-    installed_at: Instant,
-    /// Per-directed-link send counters (`src * nodes + dst`): the n-th
-    /// packet on a link always gets the n-th decision, regardless of how
-    /// sends on other links interleave.
-    counters: Vec<AtomicU64>,
 }
 
 struct Shared {
@@ -211,10 +199,8 @@ impl Fabric {
     /// fabric — which is what a reliability layer has to survive. Flap
     /// schedules and decision sequences restart at installation time.
     pub fn install_faults(&self, plan: FaultPlan) {
-        let counters =
-            (0..self.shared.nodes * self.shared.nodes).map(|_| AtomicU64::new(0)).collect();
-        *self.shared.plan.write() =
-            Some(InstalledPlan { plan, installed_at: Instant::now(), counters });
+        let nodes = self.shared.nodes;
+        *self.shared.plan.write() = Some(InstalledPlan::new(plan, nodes, nodes));
     }
 
     /// Removes any installed [`FaultPlan`]; the fabric is lossless again.
@@ -352,17 +338,9 @@ impl Endpoint {
         // decision is made here, but in throttled mode a dropped packet
         // still consumes the port's serialization time below: the NIC
         // serialized the frame, the wire ate it.
-        let decision = {
-            let plan = shared.plan.read();
-            match plan.as_ref() {
-                Some(p) if !p.plan.is_noop() => {
-                    let n =
-                        p.counters[self.node * shared.nodes + dst].fetch_add(1, Ordering::Relaxed);
-                    let t_ns = p.installed_at.elapsed().as_nanos() as u64;
-                    p.plan.decide(self.node, dst, n, t_ns)
-                }
-                _ => FaultDecision::CLEAN,
-            }
+        let decision = match shared.plan.read().as_ref() {
+            Some(p) => p.decide(self.node, dst),
+            None => FaultDecision::CLEAN,
         };
         let bytes = payload.len();
         shared.stats.record_send(self.node, bytes);

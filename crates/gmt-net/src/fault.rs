@@ -45,6 +45,8 @@
 
 use crate::NodeId;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// One down-window of a link-flap schedule, in nanoseconds since the plan
 /// was installed on the fabric.
@@ -334,6 +336,45 @@ impl FaultPlan {
     }
 }
 
+/// A [`FaultPlan`] installed on a send path: the install instant (flap
+/// windows count from it) and one send counter per directed link, so
+/// the n-th packet on a link always gets the n-th decision. The sim
+/// fabric sends for every node and counts at `src * nodes + dst`; a
+/// framed transport sends only from its own node and counts per `dst`.
+pub(crate) struct InstalledPlan {
+    pub(crate) plan: FaultPlan,
+    installed_at: Instant,
+    /// [`FaultPlan::is_noop`], cached: sends skip counters and clock.
+    noop: bool,
+    nodes: usize,
+    counters: Vec<AtomicU64>,
+}
+
+impl InstalledPlan {
+    /// Installs `plan` for `senders` source nodes (`nodes` on the
+    /// fabric, 1 on a framed transport) in a `nodes`-node cluster.
+    pub(crate) fn new(plan: FaultPlan, senders: usize, nodes: usize) -> InstalledPlan {
+        InstalledPlan {
+            noop: plan.is_noop(),
+            plan,
+            installed_at: Instant::now(),
+            nodes,
+            counters: (0..senders * nodes).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Decides the fate of the next packet on `src -> dst`.
+    pub(crate) fn decide(&self, src: NodeId, dst: NodeId) -> FaultDecision {
+        if self.noop {
+            return FaultDecision::CLEAN;
+        }
+        let row = if self.counters.len() > self.nodes { src } else { 0 };
+        let n = self.counters[row * self.nodes + dst].fetch_add(1, Ordering::Relaxed);
+        let t_ns = self.installed_at.elapsed().as_nanos() as u64;
+        self.plan.decide(src, dst, n, t_ns)
+    }
+}
+
 /// SplitMix64 — the standard 64-bit finalizing mixer; good enough to turn
 /// a counter into independent-looking uniform draws, with no dependencies.
 #[inline]
@@ -364,6 +405,20 @@ pub fn seed_from_env(default: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The fabric (a counter per `(src, dst)`) and a framed transport (a
+    /// counter per `dst` on its own node) replay one link identically,
+    /// however the fabric's other links interleave.
+    #[test]
+    fn installed_plan_replays_a_link_alike_on_fabric_and_framed_counters() {
+        let plan = FaultPlan::new(7).drop_all(0.3).dup_all(0.3);
+        let fabric = InstalledPlan::new(plan.clone(), 3, 3);
+        let framed = InstalledPlan::new(plan, 1, 3);
+        for n in 0..200 {
+            fabric.decide(0, 2);
+            assert_eq!(fabric.decide(1, 2), framed.decide(1, 2), "packet {n}");
+        }
+    }
 
     #[test]
     fn noop_plan_is_clean() {

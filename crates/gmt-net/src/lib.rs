@@ -16,8 +16,12 @@
 //! * [`stats`] — per-node traffic counters used by the benchmark harness to
 //!   compute effective bandwidth in *modeled* time, independent of host
 //!   scheduling noise.
-//! * [`transport`] — the object-safe [`Transport`] trait both backends
-//!   implement; everything above the wire is written against it.
+//! * [`transport`] — the object-safe [`Transport`] trait every backend
+//!   implements; everything above the wire is written against it.
+//! * [`framed`] — the one `Transport` implementation under both real
+//!   backends: send path, fault shim, inbox, connection-loss evidence
+//!   and shutdown, over a backend-supplied [`framed::FrameLink`]; plus
+//!   [`connect`], which joins a process to a multi-process mesh.
 //! * [`tcp`] — the real multi-process backend: length-prefixed frames over
 //!   per-peer `TcpStream`s, an in-process loopback mesh for CI, and the
 //!   rendezvous protocol `gmt-launch` boots clusters with.
@@ -36,6 +40,7 @@
 
 pub mod fabric;
 pub mod fault;
+pub mod framed;
 pub mod model;
 pub mod payload;
 pub mod shm;
@@ -45,11 +50,12 @@ pub mod transport;
 
 pub use fabric::{DeliveryMode, Endpoint, Fabric, NetError, Packet, Tag};
 pub use fault::{seed_from_env, FaultPlan, FlapWindow};
+pub use framed::{connect, Control};
 pub use model::NetworkModel;
 pub use payload::{BufRelease, Payload};
-pub use shm::{shm_mesh, shm_mesh_with, ShmControl, ShmTransport};
+pub use shm::{shm_mesh, shm_mesh_with, ShmTransport};
 pub use stats::TrafficStats;
-pub use tcp::{loopback_mesh, rendezvous, Bootstrap, Control, TcpTransport};
+pub use tcp::{loopback_mesh, rendezvous, Bootstrap, TcpTransport};
 pub use transport::{Transport, TransportSelect};
 
 /// Identifies a node (an MPI rank in the paper's terms).

@@ -27,7 +27,7 @@
 //! consumer never contend on a line. Frames are `[len u32 LE][tag u32
 //! LE][payload]`, written with wraparound split copies and published by
 //! a release store of `tail`; the consumer copies the payload into a
-//! pooled [`RecvPool`] buffer and retires it with a release store of
+//! pooled receive buffer and retires it with a release store of
 //! `head`. Self-rings exist but stay empty — self-sends loop through
 //! the inbox like every other backend.
 //!
@@ -54,13 +54,11 @@
 //! # Crash evidence and cleanup
 //!
 //! Every node advertises its pid and a liveness state word in its slot.
-//! A per-transport monitor thread turns three observations into the
-//! same sticky link-down evidence the TCP reader derives from EOF: a
-//! peer that stored `GONE` (clean shutdown), a severed ring (injected
-//! kill — [`ShmTransport::install_faults`] severs both directions, so
-//! the victim sees first-hand evidence exactly like a reset stream),
-//! and a pid whose process no longer exists (a real SIGKILL leaves the
-//! state word `ALIVE`; `/proc/<pid>` vanishing is the ground truth).
+//! A monitor thread turns three observations into the framed core's
+//! link-down evidence: a peer that stored `GONE` (clean shutdown), a
+//! severed ring (a kill fault severs both directions) and a pid whose
+//! process is gone (a SIGKILL leaves the state `ALIVE`; `/proc/<pid>`
+//! vanishing is the ground truth).
 //!
 //! The segment file itself is created `O_EXCL` by node 0 (stale files
 //! from a crashed previous run are removed first unless their creator
@@ -71,23 +69,18 @@
 //! create and attach.
 
 use crate::fabric::{NetError, Packet, Tag};
-use crate::fault::FaultPlan;
-use crate::payload::{BufRelease, Payload};
+use crate::framed::{
+    decode_header, encode_header, handshake_timeout, poll_until, Barrier, Control, FrameCore,
+    FrameLink, FramedTransport, FRAME_HEADER,
+};
 use crate::stats::TrafficStats;
-use crate::tcp::{handshake_timeout, InstalledShim, RecvPool, MAX_FRAME};
-use crate::transport::Transport;
 use crate::NodeId;
-use crossbeam::channel::{self, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::io::{self, ErrorKind};
 use std::path::Path;
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Frame header in the ring: payload length + tag, both `u32` LE.
-const FRAME_HEADER: usize = 8;
 
 /// Segment magic ("GMTS"), stored *last* by the creator so a reader that
 /// sees it knows every other header field is initialized.
@@ -302,7 +295,7 @@ struct NodeSlot {
     /// Dekker flag: set while the receiver is arming/inside a futex
     /// wait, so senders know a wake is needed at all.
     sleeping: AtomicU32,
-    /// End-of-job barrier word for [`ShmControl`].
+    /// End-of-job barrier word ([`Control`]).
     done: AtomicU32,
     _pad: [u8; 104],
 }
@@ -355,6 +348,31 @@ impl Segment {
         let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
         assert!(!ptr.is_null(), "segment allocation failed ({size} bytes)");
         Segment { mem: SegMem::Heap { ptr, layout }, nodes, ring_cap }
+    }
+
+    /// Maps a segment file of this geometry shared read-write (the
+    /// mapping outlives the file handle).
+    fn map(file: &std::fs::File, nodes: usize, ring_cap: usize) -> io::Result<Segment> {
+        let len = Self::size_for(nodes, ring_cap);
+        let ptr = sys::map_file(file, len)?;
+        Ok(Segment { mem: SegMem::Mmap { ptr, len }, nodes, ring_cap })
+    }
+
+    /// Initializes a zeroed segment as this process: header fields,
+    /// then slots `0..alive` marked `ALIVE` under our pid, then the magic
+    /// last so attachers never see a half-built segment.
+    fn init(&self, alive: usize) {
+        let pid = u64::from(std::process::id());
+        let hdr = self.header();
+        hdr.nodes.store(self.nodes as u32, Ordering::Relaxed);
+        hdr.ring_cap.store(self.ring_cap as u32, Ordering::Relaxed);
+        hdr.creator_pid.store(pid, Ordering::Relaxed);
+        for node in 0..alive {
+            let slot = self.slot(node);
+            slot.pid.store(pid, Ordering::Relaxed);
+            slot.state.store(STATE_ALIVE, Ordering::Release);
+        }
+        hdr.magic.store(SEG_MAGIC, Ordering::Release);
     }
 
     fn base(&self) -> *mut u8 {
@@ -460,29 +478,13 @@ struct ShmCounters {
     occ_hist: [AtomicU64; 8],
 }
 
-/// Why a ring write could not proceed.
-enum PushErr {
-    Severed,
-    PeerGone,
-    Closed,
-}
+/// A node's shared-memory ring mesh under the framed core.
+pub type ShmTransport = FramedTransport<ShmLink>;
 
-struct ShmShared {
-    node: NodeId,
-    nodes: usize,
+/// The shm medium: this node's view of the segment plus the locks that
+/// keep each ring single-producer, single-consumer.
+pub struct ShmLink {
     seg: Arc<Segment>,
-    stats: Arc<TrafficStats>,
-    /// Sticky per-peer connection-loss evidence (same contract as the
-    /// TCP backend's flag; see [`ShmShared::note_conn_lost`]).
-    link_down: Vec<AtomicBool>,
-    log_warnings: AtomicBool,
-    stop: AtomicBool,
-    shim: RwLock<Option<InstalledShim>>,
-    pool: Arc<RecvPool>,
-    /// Spill inbox: self-sends, and frames drained from inbound rings by
-    /// a sender stuck on a full outbound ring. Read before the rings so
-    /// per-link FIFO survives the detour.
-    inbox_tx: Sender<Packet>,
     counters: ShmCounters,
     /// Per-destination producer locks: the SPSC tail allows one writer,
     /// but any runtime thread may call `send`.
@@ -492,24 +494,7 @@ struct ShmShared {
     rx: Mutex<usize>,
 }
 
-impl ShmShared {
-    /// Records first-hand evidence that the link to `peer` broke: sticky
-    /// link-down flag, one `conn_lost` count per peer, a warning line
-    /// when enabled. Suppressed once our own shutdown began — storing
-    /// `GONE` makes peers see *us* as lost, not the reverse.
-    fn note_conn_lost(&self, peer: NodeId, cause: &str) {
-        if self.stop.load(Ordering::Acquire) {
-            return;
-        }
-        if self.link_down[peer].swap(true, Ordering::AcqRel) {
-            return; // first evidence for this peer already recorded
-        }
-        self.stats.record_conn_lost(self.node);
-        if self.log_warnings.load(Ordering::Relaxed) {
-            eprintln!("[gmt-net] node {}: connection to node {peer} lost: {cause}", self.node);
-        }
-    }
-
+impl ShmLink {
     /// Bumps `peer`'s doorbell and wakes its futex unconditionally —
     /// shutdown/kill paths use this so a parked peer re-checks state.
     fn ring_doorbell(&self, peer: NodeId) {
@@ -519,12 +504,18 @@ impl ShmShared {
     }
 
     /// Whether any inbound ring has a published frame.
-    fn any_ring_pending(&self) -> bool {
-        (0..self.nodes).filter(|&p| p != self.node).any(|p| {
-            let ring = self.seg.ring(p, self.node);
-            ring.hdr.sever.load(Ordering::Acquire) == 0
-                && ring.hdr.tail.load(Ordering::Acquire) != ring.hdr.head.load(Ordering::Relaxed)
-        })
+    fn any_ring_pending(&self, core: &FrameCore) -> bool {
+        self.inbound(core)
+            .any(|r| r.hdr.tail.load(Ordering::Acquire) != r.hdr.head.load(Ordering::Relaxed))
+    }
+
+    /// The unsevered rings into this node.
+    fn inbound<'a>(&'a self, core: &FrameCore) -> impl Iterator<Item = RingRef<'a>> {
+        let node = core.node;
+        (0..core.nodes)
+            .filter(move |&p| p != node)
+            .map(move |p| self.seg.ring(p, node))
+            .filter(|r| r.hdr.sever.load(Ordering::Acquire) == 0)
     }
 
     /// Writes one frame into the ring toward `dst`, blocking while the
@@ -533,28 +524,28 @@ impl ShmShared {
     /// `tx[dst]`.
     fn push_frame(
         &self,
+        core: &FrameCore,
         ring: RingRef<'_>,
         dst: NodeId,
         tag: Tag,
         bytes: &[u8],
-    ) -> Result<bool, PushErr> {
+    ) -> Result<bool, NetError> {
         let need = (FRAME_HEADER + bytes.len()) as u64;
         let tail = ring.hdr.tail.load(Ordering::Relaxed);
         let mut waited = false;
         let head = loop {
             if ring.hdr.sever.load(Ordering::Acquire) != 0 {
-                return Err(PushErr::Severed);
+                return Err(core.lost(dst, "link severed"));
             }
-            if self.seg.slot(dst).state.load(Ordering::Acquire) == STATE_GONE {
-                return Err(PushErr::PeerGone);
+            // A peer that stored GONE, or whose process the monitor saw
+            // die: a full ring toward a corpse would otherwise spin
+            // forever.
+            if self.seg.slot(dst).state.load(Ordering::Acquire) == STATE_GONE || core.link_down(dst)
+            {
+                return Err(core.lost(dst, "peer gone"));
             }
-            if self.link_down[dst].load(Ordering::Acquire) {
-                // The monitor saw the peer's process die; a full ring
-                // toward a corpse would otherwise spin forever.
-                return Err(PushErr::PeerGone);
-            }
-            if self.stop.load(Ordering::Acquire) {
-                return Err(PushErr::Closed);
+            if core.stopped() {
+                return Err(NetError::Closed);
             }
             let head = ring.hdr.head.load(Ordering::Acquire);
             if ring.cap as u64 - (tail - head) >= need {
@@ -566,15 +557,15 @@ impl ShmShared {
             }
             // Make progress on our own inbound rings while we wait: the
             // peer may itself be blocked sending to us.
-            if !self.drain_rings_to_inbox() {
+            if !self.drain_rings_to_inbox(core) {
                 std::thread::sleep(FULL_RETRY);
             }
         };
-        let mut hdr = [0u8; FRAME_HEADER];
-        hdr[..4].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
-        hdr[4..].copy_from_slice(&tag.to_le_bytes());
+        // SAFETY: the caller holds `tx[dst]`, so this is the ring's one
+        // producer, and the loop above saw `need` free bytes from `tail`
+        // on: the consumer reads none of them until the release below.
         unsafe {
-            ring.write_at(tail, &hdr);
+            ring.write_at(tail, &encode_header(bytes.len(), tag));
             ring.write_at(tail + FRAME_HEADER as u64, bytes);
         }
         ring.hdr.tail.store(tail + need, Ordering::Release);
@@ -583,17 +574,18 @@ impl ShmShared {
     }
 
     /// Scans inbound rings round-robin and pops at most one frame.
-    fn poll_rings(&self) -> Option<Packet> {
-        if self.nodes == 1 {
+    fn poll_rings(&self, core: &FrameCore) -> Option<Packet> {
+        let (node, nodes) = (core.node, core.nodes);
+        if nodes == 1 {
             return None;
         }
         let mut next = self.rx.lock();
-        for i in 0..self.nodes {
-            let peer = (*next + i) % self.nodes;
-            if peer == self.node {
+        for i in 0..nodes {
+            let peer = (*next + i) % nodes;
+            if peer == node {
                 continue;
             }
-            let ring = self.seg.ring(peer, self.node);
+            let ring = self.seg.ring(peer, node);
             if ring.hdr.sever.load(Ordering::Acquire) != 0 {
                 continue;
             }
@@ -602,16 +594,16 @@ impl ShmShared {
             if tail == head {
                 continue;
             }
-            match self.pop_frame(ring, peer, head, tail) {
+            match self.pop_frame(core, ring, peer, head, tail) {
                 Ok(pkt) => {
-                    *next = (peer + 1) % self.nodes;
+                    *next = (peer + 1) % nodes;
                     return Some(pkt);
                 }
                 Err(()) => {
                     // A corrupt length can never re-synchronize; sever
                     // the ring like the TCP reader closes the stream.
                     ring.hdr.sever.store(1, Ordering::Release);
-                    self.note_conn_lost(peer, "corrupt frame length prefix");
+                    core.note_conn_lost(peer, "corrupt frame length prefix");
                     continue;
                 }
             }
@@ -623,6 +615,7 @@ impl ShmShared {
     /// The caller holds `rx` and has observed `tail != head`.
     fn pop_frame(
         &self,
+        core: &FrameCore,
         ring: RingRef<'_>,
         src: NodeId,
         head: u64,
@@ -633,33 +626,35 @@ impl ShmShared {
         if avail < FRAME_HEADER {
             return Err(()); // torn header: producer protocol violated
         }
+        // SAFETY: the caller holds `rx` (the ring's one consumer) and
+        // acquired `tail`; the header's bytes lie in the published
+        // `[head, tail)` span and `hdr` has room for them.
         unsafe { ring.read_at(head, hdr.as_mut_ptr(), FRAME_HEADER) };
-        let len = u32::from_le_bytes(hdr[..4].try_into().expect("4-byte slice")) as usize;
-        let tag = Tag::from_le_bytes(hdr[4..].try_into().expect("4-byte slice"));
-        if len > MAX_FRAME || FRAME_HEADER + len > ring.cap || FRAME_HEADER + len > avail {
+        let (len, tag) = decode_header(&hdr).ok_or(())?;
+        if FRAME_HEADER + len > ring.cap || FRAME_HEADER + len > avail {
             return Err(());
         }
-        let mut buf = self.pool.get();
-        buf.clear();
+        let mut buf = core.recv_buf();
         buf.reserve(len);
+        // SAFETY: the body lies in the published span (checked against
+        // `avail` above), `buf` has capacity for `len` bytes, and all of
+        // them are written before `set_len`.
         unsafe {
             ring.read_at(head + FRAME_HEADER as u64, buf.as_mut_ptr(), len);
             buf.set_len(len);
         }
         ring.hdr.head.store(head + (FRAME_HEADER + len) as u64, Ordering::Release);
         ring.hdr.frames.fetch_sub(1, Ordering::Release);
-        self.stats.record_recv(self.node, len);
-        let payload = Payload::pooled(buf, Arc::clone(&self.pool) as Arc<dyn BufRelease>);
-        Ok(Packet { src, dst: self.node, tag, payload })
+        Ok(core.packet(src, tag, buf))
     }
 
     /// Moves every currently-available inbound frame into the inbox
     /// spill (used by senders blocked on a full ring). Returns whether
     /// anything moved.
-    fn drain_rings_to_inbox(&self) -> bool {
+    fn drain_rings_to_inbox(&self, core: &FrameCore) -> bool {
         let mut moved = false;
-        while let Some(pkt) = self.poll_rings() {
-            let _ = self.inbox_tx.send(pkt);
+        while let Some(pkt) = self.poll_rings(core) {
+            core.spill(pkt);
             moved = true;
         }
         moved
@@ -690,193 +685,54 @@ impl ShmShared {
     }
 }
 
-/// One node's attachment to a shared-memory mesh. See the module docs;
-/// the [`Transport`] contract (FIFO per link, no delivery guarantee,
-/// pooled receive payloads, bounded shutdown) is documented on the
-/// trait.
-pub struct ShmTransport {
-    shared: Arc<ShmShared>,
-    inbox_rx: Receiver<Packet>,
-    monitor: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl ShmTransport {
-    /// Attaches to an initialized segment (own slot already `ALIVE`) and
-    /// spawns the crash-evidence monitor.
-    fn from_segment(node: NodeId, seg: Arc<Segment>, stats: Arc<TrafficStats>) -> ShmTransport {
-        let nodes = seg.nodes;
-        let (inbox_tx, inbox_rx) = channel::unbounded();
-        let shared = Arc::new(ShmShared {
-            node,
-            nodes,
-            seg,
-            stats,
-            link_down: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
-            log_warnings: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-            shim: RwLock::new(None),
-            pool: RecvPool::new(),
-            inbox_tx,
-            counters: ShmCounters::default(),
-            tx: (0..nodes).map(|_| Mutex::new(())).collect(),
-            rx: Mutex::new(0),
-        });
-        let monitor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("gmt-shm-mon-{node}"))
-                .spawn(move || monitor_loop(&shared))
-                .expect("spawn shm monitor")
-        };
-        ShmTransport { shared, inbox_rx, monitor: Mutex::new(Some(monitor)) }
-    }
-
-    /// Installs a seeded [`FaultPlan`] as a userspace shim on this
-    /// sender's frame layer (drop, duplicate, flap windows and kill;
-    /// time-shaping faults are ignored — no cost model over shared
-    /// memory). Kill faults get real crash semantics: both ring
-    /// directions touching a killed peer are severed, so in-flight
-    /// frames are lost and the peer's monitor sees first-hand evidence,
-    /// exactly like a process death. Severing is irreversible —
-    /// [`ShmTransport::clear_faults`] cannot resurrect a killed link.
-    /// Replaces any previous plan; decisions restart from packet 0 like
-    /// the fabric's `install_faults`.
-    pub fn install_faults(&self, plan: FaultPlan) {
-        let shared = &*self.shared;
-        let self_killed = plan.is_killed(shared.node);
-        for peer in 0..shared.nodes {
-            if peer == shared.node || !(self_killed || plan.is_killed(peer)) {
-                continue;
-            }
-            shared.seg.ring(shared.node, peer).hdr.sever.store(1, Ordering::Release);
-            shared.seg.ring(peer, shared.node).hdr.sever.store(1, Ordering::Release);
-            shared.ring_doorbell(peer);
-        }
-        if self_killed || (0..shared.nodes).any(|p| plan.is_killed(p)) {
-            shared.ring_doorbell(shared.node);
-        }
-        let counters = (0..shared.nodes).map(|_| AtomicU64::new(0)).collect();
-        *shared.shim.write() = Some(InstalledShim { plan, installed_at: Instant::now(), counters });
-    }
-
-    /// Removes the fault shim; the send path writes every frame again.
-    pub fn clear_faults(&self) {
-        *self.shared.shim.write() = None;
-    }
-}
-
-impl Transport for ShmTransport {
-    fn node(&self) -> NodeId {
-        self.shared.node
-    }
-
-    fn nodes(&self) -> usize {
-        self.shared.nodes
-    }
-
-    fn send(&self, dst: NodeId, tag: Tag, payload: Payload) -> Result<(), NetError> {
-        let shared = &*self.shared;
-        if dst >= shared.nodes {
-            return Err(NetError::NoSuchNode { dst, nodes: shared.nodes });
-        }
-        if shared.stop.load(Ordering::Acquire) {
-            return Err(NetError::Closed);
-        }
-        let bytes = payload.as_slice();
-        assert!(bytes.len() <= MAX_FRAME, "frame larger than MAX_FRAME");
+impl FrameLink for ShmLink {
+    fn write(
+        &self,
+        core: &FrameCore,
+        dst: NodeId,
+        tag: Tag,
+        bytes: &[u8],
+        copies: usize,
+        _shimmed: bool,
+    ) -> Result<(), NetError> {
         assert!(
-            bytes.len() + FRAME_HEADER <= shared.seg.ring_cap,
+            bytes.len() + FRAME_HEADER <= self.seg.ring_cap,
             "frame ({} bytes) larger than the shm ring ({} bytes); raise GMT_SHM_RING_BYTES",
             bytes.len(),
-            shared.seg.ring_cap,
+            self.seg.ring_cap,
         );
-        shared.stats.record_send(shared.node, bytes.len());
-
-        // Fault shim: same decision function and per-link counters as
-        // the fabric, applied before the bytes reach the ring.
-        let mut duplicate = false;
-        if let Some(shim) = shared.shim.read().as_ref() {
-            let n = shim.counters[dst].fetch_add(1, Ordering::Relaxed);
-            let t_ns = shim.installed_at.elapsed().as_nanos() as u64;
-            let d = shim.plan.decide(shared.node, dst, n, t_ns);
-            if d.drop {
-                // Silent loss, exactly like the fabric: dropping the
-                // payload here releases any pooled buffer.
-                shared.stats.record_drop(shared.node);
-                return Ok(());
-            }
-            duplicate = d.duplicate;
-        }
-        if duplicate {
-            shared.stats.record_dup(shared.node);
-        }
-
-        if dst == shared.node {
-            // Self-send: loop straight into the inbox, zero-copy.
-            if duplicate {
-                let copy = payload.clone();
-                let _ = shared.inbox_tx.send(Packet { src: shared.node, dst, tag, payload: copy });
-                shared.stats.record_recv(shared.node, bytes.len());
-            }
-            shared.stats.record_recv(shared.node, bytes.len());
-            let _ = shared.inbox_tx.send(Packet { src: shared.node, dst, tag, payload });
-            return Ok(());
-        }
-
-        let ring = shared.seg.ring(shared.node, dst);
-        let writes = if duplicate { 2 } else { 1 };
+        let ring = self.seg.ring(core.node, dst);
         let mut was_empty = false;
         {
-            let _guard = shared.tx[dst].lock();
-            for _ in 0..writes {
-                match shared.push_frame(ring, dst, tag, bytes) {
-                    Ok(empty_edge) => was_empty |= empty_edge,
-                    Err(PushErr::Closed) => return Err(NetError::Closed),
-                    Err(PushErr::Severed) => {
-                        shared.note_conn_lost(dst, "link severed");
-                        return Err(NetError::LinkDown { src: shared.node, dst });
-                    }
-                    Err(PushErr::PeerGone) => {
-                        shared.note_conn_lost(dst, "peer gone");
-                        return Err(NetError::LinkDown { src: shared.node, dst });
-                    }
-                }
+            let _guard = self.tx[dst].lock();
+            for _ in 0..copies {
+                was_empty |= self.push_frame(core, ring, dst, tag, bytes)?;
             }
         }
-        shared.after_publish(dst, ring, was_empty);
+        self.after_publish(dst, ring, was_empty);
         Ok(())
     }
 
-    fn try_recv(&self) -> Option<Packet> {
-        // Inbox first: self-sends and full-wait spills are older than
-        // anything still in the rings, so FIFO per link holds.
-        if let Ok(pkt) = self.inbox_rx.try_recv() {
-            return Some(pkt);
-        }
-        if self.shared.stop.load(Ordering::Acquire) {
-            // After shutdown only the inbox remains receivable; frames
-            // still in the rings are dropped (nothing below the inbox is
-            // pooled until decode, so nothing leaks).
-            return None;
-        }
-        self.shared.poll_rings()
+    fn poll(&self, core: &FrameCore) -> Option<Packet> {
+        self.poll_rings(core)
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
+    fn recv_timeout(&self, core: &FrameCore, timeout: Duration) -> Option<Packet> {
         let deadline = Instant::now() + timeout;
+        let inbox = &core.inbox_rx;
         loop {
-            if let Some(pkt) = self.try_recv() {
+            if let Some(pkt) = core.try_recv(self) {
                 return Some(pkt);
             }
-            if self.shared.stop.load(Ordering::Acquire) {
+            if core.stopped() {
                 let left = deadline.saturating_duration_since(Instant::now());
-                return self.inbox_rx.recv_timeout(left).ok();
+                return inbox.recv_timeout(left).ok();
             }
             // Short spin: under load the next frame lands within
             // microseconds and parking would cost two syscalls.
             let mut ready = false;
             for _ in 0..SPIN_ROUNDS {
-                if self.shared.any_ring_pending() || !self.inbox_rx.is_empty() {
+                if self.any_ring_pending(core) || !inbox.is_empty() {
                     ready = true;
                     break;
                 }
@@ -890,14 +746,11 @@ impl Transport for ShmTransport {
             // publishing concurrently either sees `sleeping` (and rings)
             // or its frame is visible to the re-check (see the module
             // docs' doorbell protocol).
-            let slot = self.shared.seg.slot(self.shared.node);
+            let slot = self.seg.slot(core.node);
             let ticket = slot.doorbell.load(Ordering::Acquire);
             slot.sleeping.store(1, Ordering::SeqCst);
             fence(Ordering::SeqCst);
-            if self.shared.any_ring_pending()
-                || !self.inbox_rx.is_empty()
-                || self.shared.stop.load(Ordering::SeqCst)
-            {
+            if self.any_ring_pending(core) || !inbox.is_empty() || core.stopped() {
                 slot.sleeping.store(0, Ordering::SeqCst);
                 continue;
             }
@@ -909,49 +762,37 @@ impl Transport for ShmTransport {
             sys::futex_wait(&slot.doorbell, ticket, left);
             slot.sleeping.store(0, Ordering::SeqCst);
             if Instant::now() >= deadline {
-                return self.try_recv();
+                return core.try_recv(self);
             }
         }
     }
 
-    fn pending(&self) -> usize {
-        let ring_frames: u64 = (0..self.shared.nodes)
-            .filter(|&p| p != self.shared.node)
-            .map(|p| {
-                let ring = self.shared.seg.ring(p, self.shared.node);
-                if ring.hdr.sever.load(Ordering::Acquire) != 0 {
-                    0
-                } else {
-                    ring.hdr.frames.load(Ordering::Relaxed)
-                }
-            })
-            .sum();
-        self.inbox_rx.len() + ring_frames as usize
+    fn pending(&self, core: &FrameCore) -> usize {
+        self.inbound(core).map(|r| r.hdr.frames.load(Ordering::Relaxed) as usize).sum()
     }
 
-    fn observed_kill(&self, node: NodeId) -> bool {
-        self.link_down(node)
-            || self.shared.shim.read().as_ref().is_some_and(|s| s.plan.is_killed(node))
+    /// Severs both ring directions, then rings both doorbells so parked
+    /// receivers on either side re-check state.
+    fn sever(&self, core: &FrameCore, peer: NodeId) {
+        self.seg.ring(core.node, peer).hdr.sever.store(1, Ordering::Release);
+        self.seg.ring(peer, core.node).hdr.sever.store(1, Ordering::Release);
+        self.ring_doorbell(peer);
+        self.ring_doorbell(core.node);
     }
 
-    fn link_down(&self, node: NodeId) -> bool {
-        self.shared.link_down[node].load(Ordering::Acquire)
-    }
-
-    fn set_log_warnings(&self, on: bool) {
-        self.shared.log_warnings.store(on, Ordering::Relaxed);
-    }
-
-    fn stats(&self) -> &TrafficStats {
-        &self.shared.stats
-    }
-
-    fn stats_arc(&self) -> Arc<TrafficStats> {
-        Arc::clone(&self.shared.stats)
+    /// Advertises the clean exit (peers' monitors turn it into link-down
+    /// evidence exactly like a TCP EOF), then rings every doorbell, our
+    /// own included, so parked receivers and blocked producers re-check
+    /// state instead of sleeping out their timeouts.
+    fn close(&self, core: &FrameCore) {
+        self.seg.slot(core.node).state.store(STATE_GONE, Ordering::Release);
+        for peer in 0..core.nodes {
+            self.ring_doorbell(peer);
+        }
     }
 
     fn backend_counters(&self) -> Vec<(String, u64)> {
-        let c = &self.shared.counters;
+        let c = &self.counters;
         let mut out = vec![
             ("net.shm.doorbell_wakes".to_string(), c.doorbell_wakes.load(Ordering::Relaxed)),
             (
@@ -969,64 +810,55 @@ impl Transport for ShmTransport {
         }
         out
     }
-
-    fn shutdown(&self) {
-        if self.shared.stop.swap(true, Ordering::AcqRel) {
-            return; // idempotent
-        }
-        // Advertise the clean exit; peers' monitors turn it into
-        // link-down evidence exactly like a TCP EOF. Then ring every
-        // doorbell (our own included) so parked receivers and blocked
-        // producers re-check state instead of sleeping out their
-        // timeouts.
-        self.shared.seg.slot(self.shared.node).state.store(STATE_GONE, Ordering::Release);
-        for peer in 0..self.shared.nodes {
-            self.shared.ring_doorbell(peer);
-        }
-        // The monitor polls `stop` every tick, so this join is bounded.
-        // Frames already spilled stay in the inbox; frames still in the
-        // rings are dropped (plain ring bytes, nothing pooled below the
-        // inbox on this backend).
-        if let Some(h) = self.monitor.lock().take() {
-            h.join().ok();
-        }
-    }
 }
 
-impl Drop for ShmTransport {
-    fn drop(&mut self) {
-        Transport::shutdown(self);
-    }
+/// Attaches node `node` to an initialized segment (own slot already
+/// `ALIVE`) and spawns its crash-evidence monitor.
+fn from_segment(
+    node: NodeId,
+    seg: Arc<Segment>,
+    stats: Arc<TrafficStats>,
+) -> io::Result<ShmTransport> {
+    let nodes = seg.nodes;
+    let link = ShmLink {
+        seg: Arc::clone(&seg),
+        counters: ShmCounters::default(),
+        tx: (0..nodes).map(|_| Mutex::new(())).collect(),
+        rx: Mutex::new(0),
+    };
+    FramedTransport::new(node, nodes, stats, link, format!("gmt-shm-mon-{node}"), move |core| {
+        monitor_loop(&core, &seg)
+    })
 }
 
 /// The crash-evidence monitor: turns peer state words, severed rings
 /// and vanished pids into the sticky link-down evidence the failure
 /// detector consumes — without requiring anyone to call `recv`.
-fn monitor_loop(shared: &ShmShared) {
+fn monitor_loop(core: &FrameCore, seg: &Segment) {
     loop {
-        if shared.stop.load(Ordering::Acquire) {
+        if core.stopped() {
             return;
         }
-        for peer in 0..shared.nodes {
-            if peer == shared.node || shared.link_down[peer].load(Ordering::Acquire) {
+        for peer in 0..core.nodes {
+            if peer == core.node || core.link_down(peer) {
                 continue;
             }
-            let slot = shared.seg.slot(peer);
+            let slot = seg.slot(peer);
             let state = slot.state.load(Ordering::Acquire);
             if state == STATE_GONE {
-                shared.note_conn_lost(peer, "closed by peer (shutdown)");
+                core.note_conn_lost(peer, "closed by peer (shutdown)");
                 continue;
             }
-            if shared.seg.ring(peer, shared.node).hdr.sever.load(Ordering::Acquire) != 0
-                || shared.seg.ring(shared.node, peer).hdr.sever.load(Ordering::Acquire) != 0
+            if seg.ring(peer, core.node).hdr.sever.load(Ordering::Acquire) != 0
+                || seg.ring(core.node, peer).hdr.sever.load(Ordering::Acquire) != 0
             {
-                shared.note_conn_lost(peer, "link severed");
+                core.note_conn_lost(peer, "link severed");
                 continue;
             }
             if state == STATE_ALIVE {
                 let pid = slot.pid.load(Ordering::Acquire);
                 if pid != 0 && !pid_alive(pid) {
-                    shared.note_conn_lost(peer, "process exit");
+                    core.note_conn_lost(peer, "process exit");
                 }
             }
         }
@@ -1048,134 +880,56 @@ pub fn shm_mesh_with(nodes: usize, ring_bytes: usize) -> io::Result<Vec<ShmTrans
     assert!(nodes > 0, "a mesh needs at least one node");
     let ring_cap = ring_bytes.clamp(MIN_RING_BYTES, MAX_RING_BYTES).next_power_of_two();
     let seg = Arc::new(Segment::heap(nodes, ring_cap));
-    let pid = u64::from(std::process::id());
-    let hdr = seg.header();
-    hdr.nodes.store(nodes as u32, Ordering::Relaxed);
-    hdr.ring_cap.store(ring_cap as u32, Ordering::Relaxed);
-    hdr.creator_pid.store(pid, Ordering::Relaxed);
-    for node in 0..nodes {
-        let slot = seg.slot(node);
-        slot.pid.store(pid, Ordering::Relaxed);
-        slot.state.store(STATE_ALIVE, Ordering::Release);
-    }
-    hdr.magic.store(SEG_MAGIC, Ordering::Release);
+    seg.init(nodes);
     let stats = Arc::new(TrafficStats::new(nodes));
-    Ok((0..nodes)
-        .map(|node| ShmTransport::from_segment(node, Arc::clone(&seg), Arc::clone(&stats)))
-        .collect())
+    (0..nodes).map(|node| from_segment(node, Arc::clone(&seg), Arc::clone(&stats))).collect()
 }
 
-/// The end-of-job side channel for the multi-process shm path — the shm
-/// counterpart of the TCP [`Control`](crate::tcp::Control), implemented
-/// over per-node `done` words in the segment instead of sockets. Node 0
-/// waits on every peer; peers wait on node 0. A peer that stored `GONE`
-/// or whose process vanished counts as done (it cannot be waited on),
-/// mirroring the TCP rule that EOF is an acknowledgement.
-pub struct ShmControl {
+/// The shm end of the [`Control`] done barrier: per-node `done` words
+/// in the segment. A peer that stored `GONE` or whose process vanished
+/// counts as done, mirroring the TCP rule that EOF is an
+/// acknowledgement.
+pub(crate) struct DoneWords {
     seg: Arc<Segment>,
     node: NodeId,
-    nodes: usize,
 }
 
-impl ShmControl {
+impl DoneWords {
     /// Marks this node done. Idempotent; errors cannot happen (the word
     /// is ours alone).
-    pub fn signal_done(&mut self) {
+    pub(crate) fn signal_done(&self) {
         self.seg.slot(self.node).done.store(1, Ordering::Release);
     }
 
-    /// Waits (at most `timeout`) for the counterpart side(s) to signal
-    /// done or disappear, returning the ids of nodes that did neither —
-    /// the barrier reports *who* went missing instead of hanging the
-    /// launcher.
-    pub fn wait_done_timeout(&mut self, timeout: Duration) -> Result<(), Vec<NodeId>> {
-        let counterparts: Vec<NodeId> =
-            if self.node == 0 { (1..self.nodes).collect() } else { vec![0] };
-        let deadline = Instant::now() + timeout;
-        loop {
-            let missing: Vec<NodeId> = counterparts
-                .iter()
-                .copied()
-                .filter(|&peer| {
-                    let slot = self.seg.slot(peer);
-                    if slot.done.load(Ordering::Acquire) != 0 {
-                        return false;
-                    }
-                    let state = slot.state.load(Ordering::Acquire);
-                    if state == STATE_GONE {
-                        return false; // clean exit counts as done
-                    }
-                    let pid = slot.pid.load(Ordering::Acquire);
-                    if state == STATE_ALIVE && pid != 0 && !pid_alive(pid) {
-                        return false; // the process is gone, counts as done
-                    }
-                    true
-                })
-                .collect();
-            if missing.is_empty() {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(missing);
-            }
-            std::thread::sleep(Duration::from_millis(2));
+    /// Node 0 waits on every peer, peers wait on node 0.
+    pub(crate) fn counterparts(&self) -> Vec<NodeId> {
+        if self.node == 0 {
+            (1..self.seg.nodes).collect()
+        } else {
+            vec![0]
         }
+    }
+
+    /// Whether `peer` signalled done, stored `GONE` or lost its process.
+    pub(crate) fn done(&self, peer: NodeId) -> bool {
+        let slot = self.seg.slot(peer);
+        let state = slot.state.load(Ordering::Acquire);
+        let pid = slot.pid.load(Ordering::Acquire);
+        slot.done.load(Ordering::Acquire) != 0
+            || state == STATE_GONE
+            || (state == STATE_ALIVE && pid != 0 && !pid_alive(pid))
     }
 }
 
-/// Reads the header of a possibly-stale segment file without mapping
-/// it: `(magic, creator_pid)`.
-fn peek_header(path: &Path) -> Option<(u32, u64)> {
+/// Reads a segment file's header without mapping it: `(magic, nodes,
+/// ring_cap, creator_pid)`.
+fn read_header(path: &Path) -> Option<(u32, usize, usize, u64)> {
     let bytes = std::fs::read(path).ok()?;
-    if bytes.len() < 24 {
-        return None;
-    }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().expect("4-byte slice"));
-    let pid = u64::from_le_bytes(bytes[16..24].try_into().expect("8-byte slice"));
-    Some((magic, pid))
-}
-
-/// Polls the segment file until its header is initialized (magic set),
-/// returning `(nodes, ring_cap)`.
-fn await_header(path: &Path, deadline: Instant) -> io::Result<(usize, usize)> {
-    loop {
-        if let Ok(bytes) = std::fs::read(path) {
-            if bytes.len() >= 24 {
-                let magic = u32::from_le_bytes(bytes[0..4].try_into().expect("4-byte slice"));
-                if magic == SEG_MAGIC {
-                    let nodes = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice"));
-                    let cap = u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte slice"));
-                    return Ok((nodes as usize, cap as usize));
-                }
-            }
-        }
-        if Instant::now() >= deadline {
-            return Err(io::Error::new(
-                ErrorKind::TimedOut,
-                format!("shm attach: segment {} never initialized", path.display()),
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// Polls until every slot is `ALIVE`, naming the stragglers on timeout.
-fn wait_all_alive(seg: &Segment, deadline: Instant) -> io::Result<()> {
-    loop {
-        let missing: Vec<NodeId> = (0..seg.nodes)
-            .filter(|&n| seg.slot(n).state.load(Ordering::Acquire) != STATE_ALIVE)
-            .collect();
-        if missing.is_empty() {
-            return Ok(());
-        }
-        if Instant::now() >= deadline {
-            return Err(io::Error::new(
-                ErrorKind::TimedOut,
-                format!("shm attach: waiting for nodes {missing:?} to attach"),
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    (bytes.len() >= 24).then(|| {
+        let pid = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
+        (word(0), word(4) as usize, word(8) as usize, pid)
+    })
 }
 
 /// Attaches one process to the cluster segment at `path` — the
@@ -1187,7 +941,7 @@ fn wait_all_alive(seg: &Segment, deadline: Instant) -> io::Result<()> {
 /// `ALIVE`, at which point node 0 unlinks the file — the mappings keep
 /// the memory alive, so no crash can leak the segment. The deadline is
 /// [`handshake_timeout`]'s (`GMT_RDV_TIMEOUT_MS`).
-pub fn attach(node: NodeId, nodes: usize, path: &Path) -> io::Result<(ShmTransport, ShmControl)> {
+pub fn attach(node: NodeId, nodes: usize, path: &Path) -> io::Result<(ShmTransport, Control)> {
     assert!(nodes > 0 && node < nodes, "node {node} of {nodes}");
     if !sys::FILE_MMAP_SUPPORTED {
         return Err(io::Error::new(
@@ -1196,13 +950,11 @@ pub fn attach(node: NodeId, nodes: usize, path: &Path) -> io::Result<(ShmTranspo
         ));
     }
     let deadline = Instant::now() + handshake_timeout();
-    let pid = u64::from(std::process::id());
     let seg = if node == 0 {
         let ring_cap = ring_bytes_from_env();
-        let size = Segment::size_for(nodes, ring_cap);
         if path.exists() {
-            match peek_header(path) {
-                Some((SEG_MAGIC, creator)) if pid_alive(creator) => {
+            match read_header(path) {
+                Some((SEG_MAGIC, _, _, creator)) if pid_alive(creator) => {
                     return Err(io::Error::new(
                         ErrorKind::AddrInUse,
                         format!("shm segment {} is in use by live pid {creator}", path.display()),
@@ -1215,34 +967,28 @@ pub fn attach(node: NodeId, nodes: usize, path: &Path) -> io::Result<(ShmTranspo
         }
         let file =
             std::fs::OpenOptions::new().read(true).write(true).create_new(true).open(path)?;
-        file.set_len(size as u64)?;
-        let ptr = sys::map_file(&file, size)?;
-        drop(file);
-        let seg = Segment { mem: SegMem::Mmap { ptr, len: size }, nodes, ring_cap };
-        let hdr = seg.header();
-        hdr.nodes.store(nodes as u32, Ordering::Relaxed);
-        hdr.ring_cap.store(ring_cap as u32, Ordering::Relaxed);
-        hdr.creator_pid.store(pid, Ordering::Relaxed);
-        let slot = seg.slot(0);
-        slot.pid.store(pid, Ordering::Relaxed);
-        slot.state.store(STATE_ALIVE, Ordering::Release);
-        hdr.magic.store(SEG_MAGIC, Ordering::Release);
+        file.set_len(Segment::size_for(nodes, ring_cap) as u64)?;
+        let seg = Segment::map(&file, nodes, ring_cap)?;
+        seg.init(1);
         seg
     } else {
-        let (hdr_nodes, ring_cap) = await_header(path, deadline)?;
+        let (hdr_nodes, ring_cap) = poll_until(deadline, || match read_header(path) {
+            Some((SEG_MAGIC, nodes, cap, _)) => Ok((nodes, cap)),
+            _ => Err(io::Error::new(
+                ErrorKind::TimedOut,
+                format!("shm attach: segment {} never initialized", path.display()),
+            )),
+        })?;
         if hdr_nodes != nodes {
             return Err(io::Error::new(
                 ErrorKind::InvalidData,
                 format!("shm segment is for {hdr_nodes} nodes, expected {nodes}"),
             ));
         }
-        let size = Segment::size_for(nodes, ring_cap);
         let file = std::fs::OpenOptions::new().read(true).write(true).open(path)?;
-        let ptr = sys::map_file(&file, size)?;
-        drop(file);
-        let seg = Segment { mem: SegMem::Mmap { ptr, len: size }, nodes, ring_cap };
+        let seg = Segment::map(&file, nodes, ring_cap)?;
         let slot = seg.slot(node);
-        slot.pid.store(pid, Ordering::Relaxed);
+        slot.pid.store(u64::from(std::process::id()), Ordering::Relaxed);
         if slot
             .state
             .compare_exchange(STATE_EMPTY, STATE_ALIVE, Ordering::AcqRel, Ordering::Acquire)
@@ -1255,7 +1001,16 @@ pub fn attach(node: NodeId, nodes: usize, path: &Path) -> io::Result<(ShmTranspo
         }
         seg
     };
-    wait_all_alive(&seg, deadline)?;
+    poll_until(deadline, || {
+        let missing: Vec<NodeId> = (0..nodes)
+            .filter(|&n| seg.slot(n).state.load(Ordering::Acquire) != STATE_ALIVE)
+            .collect();
+        if missing.is_empty() {
+            return Ok(());
+        }
+        let what = format!("shm attach: waiting for nodes {missing:?} to attach");
+        Err(io::Error::new(ErrorKind::TimedOut, what))
+    })?;
     if node == 0 {
         // Every peer holds a mapping now; the name is no longer needed
         // and unlinking it here means no exit path can leak it.
@@ -1263,15 +1018,14 @@ pub fn attach(node: NodeId, nodes: usize, path: &Path) -> io::Result<(ShmTranspo
     }
     let seg = Arc::new(seg);
     let stats = Arc::new(TrafficStats::new(nodes));
-    let transport = ShmTransport::from_segment(node, Arc::clone(&seg), stats);
-    let control = ShmControl { seg, node, nodes };
-    Ok((transport, control))
+    let transport = from_segment(node, Arc::clone(&seg), stats)?;
+    Ok((transport, Control(Barrier::Segment(DoneWords { seg, node }))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
+    use crate::{Payload, Transport};
 
     fn payload(bytes: Vec<u8>) -> Payload {
         Payload::from(bytes)
@@ -1283,43 +1037,6 @@ mod tests {
             .find(|(n, _)| n == name)
             .map(|(_, v)| v)
             .unwrap_or_else(|| panic!("no counter {name}"))
-    }
-
-    #[test]
-    fn frames_roundtrip_over_the_ring() {
-        let mesh = shm_mesh(2).unwrap();
-        for size in [0usize, 1, 7, 4096, 100_000] {
-            let data: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
-            mesh[0].send(1, 7, payload(data.clone())).unwrap();
-            let pkt = mesh[1].recv_timeout(Duration::from_secs(5)).expect("frame arrives");
-            assert_eq!(pkt.src, 0);
-            assert_eq!(pkt.dst, 1);
-            assert_eq!(pkt.tag, 7);
-            assert_eq!(pkt.payload.as_slice(), &data[..]);
-            assert!(pkt.payload.is_pooled(), "ring receive must deliver pooled payloads");
-        }
-    }
-
-    #[test]
-    fn self_send_loops_back() {
-        let mesh = shm_mesh(2).unwrap();
-        mesh[0].send(0, 3, payload(vec![9, 9, 9])).unwrap();
-        let pkt = mesh[0].recv_timeout(Duration::from_secs(5)).expect("self-send arrives");
-        assert_eq!((pkt.src, pkt.dst, pkt.tag), (0, 0, 3));
-        assert_eq!(pkt.payload.as_slice(), &[9, 9, 9]);
-    }
-
-    #[test]
-    fn per_link_fifo_is_preserved() {
-        let mesh = shm_mesh(2).unwrap();
-        for i in 0..500u32 {
-            mesh[0].send(1, i, payload(i.to_le_bytes().to_vec())).unwrap();
-        }
-        for i in 0..500u32 {
-            let pkt = mesh[1].recv_timeout(Duration::from_secs(5)).expect("frame arrives");
-            assert_eq!(pkt.tag, i, "frames must arrive in send order");
-            assert_eq!(pkt.payload.as_slice(), &i.to_le_bytes());
-        }
     }
 
     #[test]
@@ -1381,120 +1098,6 @@ mod tests {
     }
 
     #[test]
-    fn shim_drop_blackholes_and_counts() {
-        let mesh = shm_mesh(2).unwrap();
-        mesh[0].install_faults(FaultPlan::new(0xD0D0).drop(0, 1, 1.0));
-        for i in 0..10u32 {
-            mesh[0].send(1, i, payload(vec![1, 2, 3])).unwrap();
-        }
-        assert!(mesh[1].recv_timeout(Duration::from_millis(200)).is_none());
-        assert_eq!(mesh[0].stats().node(0).dropped_msgs, 10);
-        mesh[0].clear_faults();
-        mesh[0].send(1, 99, payload(vec![4])).unwrap();
-        let pkt = mesh[1].recv_timeout(Duration::from_secs(5)).expect("clear_faults restores");
-        assert_eq!(pkt.tag, 99);
-    }
-
-    #[test]
-    fn shim_dup_delivers_twice() {
-        let mesh = shm_mesh(2).unwrap();
-        mesh[0].install_faults(FaultPlan::new(0xD1D1).dup(0, 1, 1.0));
-        mesh[0].send(1, 5, payload(vec![7])).unwrap();
-        let a = mesh[1].recv_timeout(Duration::from_secs(5)).expect("first copy");
-        let b = mesh[1].recv_timeout(Duration::from_secs(5)).expect("second copy");
-        assert_eq!(a.tag, 5);
-        assert_eq!(b.tag, 5);
-        assert_eq!(mesh[0].stats().node(0).duplicated_msgs, 1);
-    }
-
-    #[test]
-    fn killed_peer_is_observed_and_blackholed() {
-        let mesh = shm_mesh(3).unwrap();
-        mesh[0].install_faults(FaultPlan::new(0xC0DE).kill(1));
-        assert!(mesh[0].observed_kill(1));
-        assert!(!mesh[0].observed_kill(2));
-        // Blackholed sends still succeed (the shim drops them silently,
-        // like the fabric), and nothing arrives.
-        mesh[0].send(1, 0, payload(vec![1])).expect("blackholed send succeeds");
-        assert!(mesh[1].recv_timeout(Duration::from_millis(200)).is_none());
-        // The unrelated link still works.
-        mesh[0].send(2, 1, payload(vec![2])).unwrap();
-        assert!(mesh[2].recv_timeout(Duration::from_secs(5)).is_some());
-    }
-
-    #[test]
-    fn kill_fault_severs_rings_and_surviving_side_observes_it() {
-        let mesh = shm_mesh(2).unwrap();
-        // Node 0 injects the kill; node 1 has NO plan installed and must
-        // still see first-hand evidence through its monitor.
-        mesh[0].install_faults(FaultPlan::new(0xDEAD).kill(1));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !mesh[1].link_down(0) {
-            assert!(Instant::now() < deadline, "victim never saw the severed ring");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(mesh[1].observed_kill(0));
-        assert!(mesh[1].stats().node(1).conn_lost >= 1);
-    }
-
-    #[test]
-    fn flap_window_drops_frames_then_recovers() {
-        let mesh = shm_mesh(2).unwrap();
-        // Link down for the first 200 ms after install, then up again.
-        mesh[0].install_faults(FaultPlan::new(0xF1A9).flap(0, 1, 0, 200_000_000));
-        mesh[0].send(1, 0, payload(vec![1])).unwrap();
-        assert!(mesh[1].recv_timeout(Duration::from_millis(100)).is_none(), "flap window drops");
-        std::thread::sleep(Duration::from_millis(150));
-        mesh[0].send(1, 1, payload(vec![2])).unwrap();
-        let pkt = mesh[1].recv_timeout(Duration::from_secs(5)).expect("flap window passed");
-        assert_eq!(pkt.tag, 1);
-        // A flap is not a kill: no sticky evidence, no severed ring.
-        assert!(!mesh[0].observed_kill(1));
-        assert!(!mesh[1].link_down(0));
-    }
-
-    #[test]
-    fn clean_shutdown_is_peer_loss_evidence_counted_once() {
-        let mesh = shm_mesh(2).unwrap();
-        mesh[0].send(1, 0, payload(vec![1])).unwrap();
-        mesh[1].recv_timeout(Duration::from_secs(5)).unwrap();
-        Transport::shutdown(&mesh[1]);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !mesh[0].link_down(1) {
-            assert!(Instant::now() < deadline, "peer shutdown never observed");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Counted exactly once, on the observer's row; the node that
-        // shut down records nothing (its own stop suppresses evidence).
-        assert_eq!(mesh[0].stats().node(0).conn_lost, 1);
-        assert_eq!(mesh[0].stats().node(1).conn_lost, 0);
-    }
-
-    #[test]
-    fn shutdown_mid_traffic_neither_hangs_nor_errors_the_receiver() {
-        let mesh = Arc::new(shm_mesh(2).unwrap());
-        let hammer = std::thread::spawn({
-            let mesh = Arc::clone(&mesh);
-            move || loop {
-                match mesh[0].send(1, 0, payload(vec![0u8; 512])) {
-                    Ok(()) => {}
-                    Err(NetError::Closed) | Err(NetError::LinkDown { .. }) => return,
-                    Err(e) => panic!("unexpected send error: {e:?}"),
-                }
-            }
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        Transport::shutdown(&mesh[1]);
-        Transport::shutdown(&mesh[0]);
-        hammer.join().unwrap();
-        // Post-shutdown: sends fail Closed, the inbox stays drainable,
-        // and a second shutdown is a no-op.
-        assert!(matches!(mesh[0].send(1, 0, payload(vec![1])), Err(NetError::Closed)));
-        while mesh[1].try_recv().is_some() {}
-        Transport::shutdown(&mesh[1]);
-    }
-
-    #[test]
     fn pending_counts_ring_frames_and_inbox() {
         let mesh = shm_mesh(2).unwrap();
         for i in 0..5u32 {
@@ -1512,29 +1115,6 @@ mod tests {
         assert_eq!(mesh[1].pending(), 0);
     }
 
-    #[test]
-    fn done_barrier_times_out_naming_the_missing_node() {
-        let dir = std::env::temp_dir().join(format!("gmt-shm-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("barrier.seg");
-        let handles: Vec<_> = (0..3)
-            .map(|node| {
-                let path = path.clone();
-                std::thread::spawn(move || attach(node, 3, &path).unwrap())
-            })
-            .collect();
-        let mut ends: Vec<(ShmTransport, ShmControl)> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
-        // Node 1 signals done, node 2 stays silent: the coordinator's
-        // barrier must name exactly node 2.
-        ends[1].1.signal_done();
-        let missing = ends[0].1.wait_done_timeout(Duration::from_millis(300)).unwrap_err();
-        assert_eq!(missing, vec![2]);
-        ends[2].1.signal_done();
-        ends[0].1.wait_done_timeout(Duration::from_secs(5)).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     #[test]
     fn attach_builds_a_mesh_over_a_mapped_file() {
@@ -1547,7 +1127,7 @@ mod tests {
                 std::thread::spawn(move || attach(node, 3, &path).unwrap())
             })
             .collect();
-        let ends: Vec<(ShmTransport, ShmControl)> =
+        let ends: Vec<(ShmTransport, Control)> =
             handles.into_iter().map(|h| h.join().unwrap()).collect();
         // The creator unlinked the file once everyone attached.
         assert!(!path.exists(), "segment file must be unlinked after attach");

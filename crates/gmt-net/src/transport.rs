@@ -2,20 +2,14 @@
 //!
 //! Everything above the wire — the reliability layer, the failure
 //! detector, flow control, the aggregation datapath — talks to the
-//! network through the object-safe [`Transport`] trait. Three backends
-//! implement it:
-//!
-//! * the in-process simulated fabric ([`Endpoint`]) — deterministic,
-//!   fault-injectable, optionally enforcing the network cost model in
-//!   wall time. This is the test and experimentation backend.
-//! * [`TcpTransport`](crate::tcp::TcpTransport) — length-prefixed frames
-//!   over per-peer TCP streams, one runtime node per OS process (or a
-//!   loopback mesh inside one process for CI). This is the backend that
-//!   escapes the single process.
-//! * [`ShmTransport`](crate::shm::ShmTransport) — same-host frames
-//!   through lock-free SPSC rings in one shared-memory segment with a
-//!   futex doorbell: zero syscalls on the hot path, for deployments
-//!   where the TCP loopback syscall tax dominates.
+//! network through the object-safe [`Transport`] trait. The in-process
+//! simulated fabric ([`Endpoint`]) implements it for tests and
+//! experiments — deterministic, fault-injectable, optionally enforcing
+//! the network cost model in wall time. The real backends,
+//! [`TcpTransport`](crate::TcpTransport) (per-peer streams, one node per
+//! OS process) and [`ShmTransport`](crate::ShmTransport) (same-host
+//! shared-memory rings), share one implementation in
+//! [`crate::framed`].
 //!
 //! # Contract
 //!
@@ -48,13 +42,13 @@
 //! `buffer_pools_whole_after_shutdown` (gmt-core) checks exactly this
 //! over both backends.
 //!
-//! What the sim guarantees **beyond** the contract (and TCP does not):
-//! deterministic seeded fault injection, instant or cost-modeled
-//! delivery, observable node kills ([`Transport::observed_kill`]), and
-//! loss only when a fault plan asks for it. Code must not rely on any of
-//! these outside sim-pinned tests.
+//! What the sim guarantees **beyond** the contract (and the real wires
+//! do not): cost-modeled delivery, time-shaping faults, and loss only
+//! when a fault plan asks for it. Code must not rely on any of these
+//! outside sim-pinned tests.
 
 use crate::fabric::{Endpoint, NetError, Packet, Tag};
+use crate::fault::FaultPlan;
 use crate::stats::TrafficStats;
 use crate::NodeId;
 use std::sync::Arc;
@@ -85,8 +79,8 @@ pub trait Transport: Send + Sync {
     fn pending(&self) -> usize;
 
     /// Whether the backend can observe that `node` is gone: an explicitly
-    /// killed node (the sim's stand-in for a fabric link-down
-    /// notification) or, on TCP, first-hand connection-loss evidence
+    /// killed node (a fault plan's stand-in for a fabric link-down
+    /// notification) or first-hand connection-loss evidence
     /// ([`Transport::link_down`]). Backends without such a signal return
     /// `false`; the failure detector then relies on retry exhaustion and
     /// heartbeat silence alone.
@@ -95,8 +89,7 @@ pub trait Transport: Send + Sync {
     }
 
     /// Whether this transport has first-hand evidence that the link to
-    /// `node` broke mid-run — on TCP: EOF, ECONNRESET or a write failure
-    /// on the peer's stream. Distinct from [`Transport::observed_kill`]
+    /// `node` broke mid-run (see [`crate::framed`]). Distinct from [`Transport::observed_kill`]
     /// (which it implies on backends that report it) so the failure
     /// detector can attribute a death to connection loss rather than an
     /// injected kill. Sticky: once set it stays set. Default `false` for
@@ -126,6 +119,16 @@ pub trait Transport: Send + Sync {
     fn backend_counters(&self) -> Vec<(String, u64)> {
         Vec::new()
     }
+
+    /// Installs a seeded [`FaultPlan`] on this node's send path, where
+    /// the backend keeps one per node: the framed core's frame shim
+    /// (see [`crate::framed`]). Default: ignored — the sim fabric
+    /// installs plans fabric-wide through
+    /// [`Fabric::install_faults`](crate::Fabric::install_faults).
+    fn install_faults(&self, _plan: FaultPlan) {}
+
+    /// Removes the plan [`Transport::install_faults`] installed.
+    fn clear_faults(&self) {}
 
     /// Stops receive machinery and closes links. Idempotent, bounded-time
     /// (joins only threads the transport owns), releases pooled buffers
@@ -180,7 +183,7 @@ impl Transport for Endpoint {
 pub enum TransportSelect {
     /// The in-process simulated fabric (default).
     Sim,
-    /// A TCP mesh over 127.0.0.1, one stream per directed peer pair.
+    /// A TCP mesh over 127.0.0.1, one stream per peer pair.
     TcpLoopback,
     /// Same-host shared-memory rings with a futex doorbell.
     Shm,
