@@ -105,7 +105,8 @@ fn print_occupancy(snap: &MetricsSnapshot) {
         }
     }
     let timeouts = snap.counter("agg.timeout_flushes").unwrap_or(0);
-    println!(" (deadline-triggered: {timeouts})");
+    let idle = snap.counter("agg.idle_flushes").unwrap_or(0);
+    println!(" (deadline-triggered: {timeouts}, quiescence-triggered: {idle})");
 }
 
 /// Merge-at-source combining effectiveness: how many fire-and-forget

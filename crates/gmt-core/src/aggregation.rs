@@ -10,6 +10,13 @@
 //! 3. When an aggregation queue holds a buffer's worth of commands (or
 //!    times out), the noticing thread pops blocks and packs them into a
 //!    pooled **aggregation buffer**.
+//!
+//!    Besides *full* and *aged* there is a third flush trigger, which the
+//!    paper's timeouts stand in for: **quiescence**. A thread that has
+//!    nothing else to run calls [`CommandSink::flush_idle`] before it
+//!    parks, which ships everything it holds at once — waiting out a
+//!    timeout then buys no batching, only latency. The timeouts
+//!    therefore act only while the thread still has other tasks to run.
 //! 4. The filled buffer goes into the thread's **channel queue** (SPSC to
 //!    the communication server), which hands it to the fabric **without
 //!    copying**: the buffer travels as a pooled [`gmt_net::Payload`] whose
@@ -43,7 +50,7 @@ use crate::command::Command;
 use crate::NodeId;
 use crossbeam::queue::{ArrayQueue, SegQueue};
 use gmt_metrics::{Counter, Histogram, Registry};
-use gmt_net::{BufRelease, Payload};
+use gmt_net::{BufRelease, Doorbell, Payload, SharedBell};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -173,8 +180,11 @@ pub struct AggStats {
     pub commands: u64,
     pub blocks_pushed: u64,
     pub buffers_filled: u64,
-    /// Buffers dispatched due to timeout rather than being full.
+    /// Buffers dispatched because a timeout fired rather than being full.
     pub timeout_flushes: u64,
+    /// Buffers dispatched because the emitting thread ran out of work
+    /// (the quiescence flush, [`CommandSink::flush_idle`]).
+    pub idle_flushes: u64,
     /// Command blocks dropped (freed) because the block pool was full.
     pub block_pool_drops: u64,
     /// Fire-and-forget adds absorbed into an existing combining-table
@@ -256,6 +266,7 @@ struct AggMetrics {
     blocks_pushed: Counter,
     buffers_filled: Counter,
     timeout_flushes: Counter,
+    idle_flushes: Counter,
     block_pool_drops: Counter,
     /// `aggregate` found the channel's buffer pool empty and left the
     /// blocks queued for a later retry.
@@ -287,6 +298,7 @@ impl AggMetrics {
             blocks_pushed: registry.counter("agg.blocks_pushed"),
             buffers_filled: registry.counter("agg.buffers_filled"),
             timeout_flushes: registry.counter("agg.timeout_flushes"),
+            idle_flushes: registry.counter("agg.idle_flushes"),
             block_pool_drops: registry.counter("agg.block_pool_drops"),
             pool_waits: registry.counter("agg.pool_waits"),
             pool_dry_waits: registry.counter("agg.pool_dry_waits"),
@@ -326,6 +338,9 @@ pub struct AggShared {
     /// Per-destination backpressure flags (written by the communication
     /// server, read by emitters, pump and the watchdog).
     flow: FlowState,
+    /// The communication server's doorbell, rung after every push of a
+    /// filled buffer onto a channel queue.
+    comm_bell: SharedBell,
 }
 
 impl AggShared {
@@ -337,8 +352,9 @@ impl AggShared {
     /// The statistics instruments go into a private, throwaway registry:
     /// counter handles keep working after a registry drops, so standalone
     /// instances (tests, benchmarks) behave exactly as before — the
-    /// counters just are not visible in any node snapshot. The runtime
-    /// uses [`Self::new_in_registry`] instead.
+    /// counters just are not visible in any node snapshot — and filled
+    /// buffers ring a private doorbell nobody parks on. The runtime uses
+    /// [`Self::new_in_registry`] instead.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         destinations: usize,
@@ -362,12 +378,14 @@ impl AggShared {
             header_reserve,
             combine_window,
             &Registry::new(threads),
+            Arc::new(Doorbell::new()),
         )
     }
 
     /// Like [`Self::new`], but registers the aggregation instruments
     /// (`agg.*`) in `registry`, which must have at least `threads` counter
-    /// shards.
+    /// shards, and rings `comm_bell` whenever a filled buffer is ready
+    /// for the communication server.
     #[allow(clippy::too_many_arguments)]
     pub fn new_in_registry(
         destinations: usize,
@@ -380,6 +398,7 @@ impl AggShared {
         header_reserve: usize,
         combine_window: usize,
         registry: &Registry,
+        comm_bell: SharedBell,
     ) -> Arc<Self> {
         assert!(header_reserve < buffer_size, "header reserve must leave room for commands");
         assert!(registry.shards() >= threads, "registry has fewer shards than channels");
@@ -415,6 +434,7 @@ impl AggShared {
                 .collect(),
             metrics: AggMetrics::register(registry, buffer_size),
             flow: FlowState::new(destinations),
+            comm_bell,
         })
     }
 
@@ -462,6 +482,7 @@ impl AggShared {
             blocks_pushed: self.metrics.blocks_pushed.sum(),
             buffers_filled: self.metrics.buffers_filled.sum(),
             timeout_flushes: self.metrics.timeout_flushes.sum(),
+            idle_flushes: self.metrics.idle_flushes.sum(),
             block_pool_drops: self.metrics.block_pool_drops.sum(),
             combine_hits: self.metrics.combine_hits.sum(),
             combine_flushes: self.metrics.combine_flushes.sum(),
@@ -501,6 +522,17 @@ impl AggShared {
         block.clear();
         self.block_pool.push(block).is_err()
     }
+}
+
+/// Why `aggregate` packs a buffer (counted apart in the statistics).
+#[derive(Clone, Copy)]
+enum Flush {
+    /// A buffer's worth of commands is queued.
+    Full,
+    /// A block or queue timeout fired (`agg.timeout_flushes`).
+    Aged,
+    /// The emitting thread ran out of work (`agg.idle_flushes`).
+    Idle,
 }
 
 /// A thread-local command block being filled for one destination.
@@ -731,7 +763,7 @@ impl CommandSink {
         if q.bytes.load(Ordering::Acquire) >= shared.cmd_capacity() {
             // Best-effort: on pool starvation the blocks stay queued and
             // the next push or pump retries.
-            self.aggregate(dst, false);
+            self.aggregate(dst, Flush::Full);
         }
     }
 
@@ -750,7 +782,7 @@ impl CommandSink {
     /// touching the pool at all, so a starved emitter stops hammering the
     /// shared `ArrayQueue` head. `agg.pool_waits` counts genuine dry
     /// pops, `agg.pool_dry_waits` counts gated skips.
-    fn aggregate(&self, dst: NodeId, timeout_flush: bool) -> bool {
+    fn aggregate(&self, dst: NodeId, cause: Flush) -> bool {
         let shared = &self.shared;
         let chan = &shared.channels[self.chan];
         let q = &shared.queues[dst];
@@ -817,8 +849,10 @@ impl CommandSink {
         }
         self.metrics().buffers_filled.add(self.chan, 1);
         self.metrics().flush_fill.record(buf.len() as u64);
-        if timeout_flush {
-            self.metrics().timeout_flushes.add(self.chan, 1);
+        match cause {
+            Flush::Full => {}
+            Flush::Aged => self.metrics().timeout_flushes.add(self.chan, 1),
+            Flush::Idle => self.metrics().idle_flushes.add(self.chan, 1),
         }
         // Hand to the communication server. The pool bounds in-flight
         // buffers, so this cannot overflow unless buffers leak.
@@ -832,6 +866,7 @@ impl CommandSink {
                 }
             }
         }
+        (*shared.comm_bell).as_ref().ring();
         true
     }
 
@@ -869,9 +904,49 @@ impl CommandSink {
             let q = &self.shared.queues[dst];
             let oldest = q.oldest_push_ns.load(Ordering::Acquire);
             if oldest != 0 && now.saturating_sub(oldest) >= self.shared.aggregation_timeout_ns {
-                self.aggregate(dst, true);
+                self.aggregate(dst, Flush::Aged);
             }
         }
+    }
+
+    /// The quiescence flush: the owning thread has no task to run and no
+    /// work to take, so nothing it holds can gain batching by waiting.
+    /// Flushes every combining table, pushes every partial block and
+    /// packs every non-empty aggregation queue into buffers at once —
+    /// never blocking, like `aggregate`.
+    ///
+    /// Two things may stay behind: combined adds toward a backpressured
+    /// peer (shed as in [`Self::pump`]) and blocks stranded by a dry
+    /// buffer pool. Returns the coarse-clock time by which the thread
+    /// should pump again for those, or `None` when nothing is left.
+    pub fn flush_idle(&mut self) -> Option<u64> {
+        let now = self.shared.coarse_now_ns();
+        let mut pump_at: Option<u64> = None;
+        for dst in 0..self.active.len() {
+            if self.combine[dst].live > 0 {
+                if self.shared.flow.is_backpressured(dst) {
+                    let at = now.saturating_add(self.shared.cmd_block_timeout_ns);
+                    pump_at = Some(pump_at.map_or(at, |p| p.min(at)));
+                } else {
+                    self.flush_combine(dst);
+                }
+            }
+            self.push_block(dst);
+            // `aggregate` packs one buffer per call: keep packing while
+            // blocks remain (a dry pool may have left more than one
+            // buffer's worth behind).
+            for _ in 0..=self.shared.channels[self.chan].pool.capacity {
+                if self.shared.queues[dst].queued_bytes() == 0 {
+                    break;
+                }
+                if !self.aggregate(dst, Flush::Idle) {
+                    let at = self.pool_retry_at_ns.get().max(now);
+                    pump_at = Some(pump_at.map_or(at, |p| p.min(at)));
+                    break;
+                }
+            }
+        }
+        pump_at
     }
 
     /// Pushes every active block and drains every queue this thread can
@@ -889,7 +964,7 @@ impl CommandSink {
             self.push_block(dst);
             let mut stalls: u32 = 0;
             while self.shared.queues[dst].queued_bytes() > 0 {
-                if self.aggregate(dst, true) {
+                if self.aggregate(dst, Flush::Idle) {
                     stalls = 0;
                 } else {
                     stalls += 1;
@@ -1021,6 +1096,50 @@ mod tests {
         let drained = drain(&shared, 0);
         assert_eq!(drained, vec![(1, 1)]);
         assert_eq!(shared.stats().timeout_flushes, 1);
+    }
+
+    #[test]
+    fn flush_idle_ships_everything_without_a_timeout() {
+        // Timeouts that never fire: only the quiescence flush can ship.
+        let shared = AggShared::new(3, 1, 4, 1024, 100, u64::MAX / 2, u64::MAX / 2, 0, 4);
+        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+        sink.emit(1, &ack(1));
+        sink.emit(2, &ack(2));
+        sink.emit(2, &Command::Add { token: 3, array: 9, offset: 8, delta: 1, dest: 0 });
+        sink.pump();
+        assert!(drain(&shared, 0).is_empty(), "nothing aged yet");
+        assert_eq!(sink.flush_idle(), None, "nothing stranded");
+        let mut drained = drain(&shared, 0);
+        drained.sort_unstable();
+        assert_eq!(drained, vec![(1, 1), (2, 2)], "blocks and the combined add all left");
+        let stats = shared.stats();
+        assert_eq!((stats.idle_flushes, stats.timeout_flushes), (2, 0));
+        assert_eq!(sink.flush_idle(), None, "an empty sink flushes nothing");
+        assert_eq!(shared.stats().buffers_filled, 2);
+    }
+
+    #[test]
+    fn flush_idle_reports_blocks_stranded_by_a_dry_pool() {
+        let shared = AggShared::new(2, 1, 1, 1024, 100, u64::MAX / 2, u64::MAX / 2, 0, 0);
+        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+        sink.emit(1, &ack(1));
+        assert_eq!(sink.flush_idle(), None);
+        // The only buffer is in flight (not dropped yet): the next flush
+        // strands its block and asks for a pump at the pool backoff.
+        let in_flight = shared.channel(0).pop_filled().expect("first buffer");
+        sink.emit(1, &ack(2));
+        let now = shared.tick();
+        let retry = sink.flush_idle().expect("stranded block");
+        assert!(retry > now, "retry at the pool backoff, not now");
+        assert!(shared.queue(1).queued_bytes() > 0);
+        drop(in_flight);
+        shared.tick();
+        while shared.queue(1).queued_bytes() > 0 {
+            std::thread::sleep(std::time::Duration::from_micros(50));
+            shared.tick();
+            sink.flush_idle();
+        }
+        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
     }
 
     #[test]

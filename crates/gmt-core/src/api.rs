@@ -786,7 +786,7 @@ impl<'a> TaskCtx<'a> {
             self.ctl.add_pending(1);
             let token = token_from(self.ctl);
             if dst == me {
-                self.node.itb_queue.push(Itb::new(
+                self.node.push_itb(Itb::new(
                     Arc::clone(&body),
                     Arc::clone(&args_arc),
                     start,

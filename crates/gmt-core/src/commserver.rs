@@ -25,13 +25,19 @@
 //! eventually confirmed dead, and death notices disseminate every
 //! confirmation so survivors converge on one membership view (see
 //! [`crate::reliable`]). It additionally runs the stuck-task
-//! watchdog sweep, since it is the one thread guaranteed to keep spinning
-//! while every worker is parked.
+//! watchdog sweep, since it is the one thread that wakes on timers while
+//! every worker is parked.
 //!
 //! Channel polling is a fair round-robin: at most one buffer per channel
 //! per sweep, so one chatty worker cannot starve the others' queues.
+//!
+//! With nothing to move, the server parks on the transport's inbound
+//! doorbell ([`Transport::doorbell`]), which inbound frames ring and
+//! every push of a filled buffer onto a channel queue rings too. It
+//! parks until its next reliability, heartbeat, kill-check or watchdog
+//! deadline at most.
 
-use crate::idle::IdleBackoff;
+use crate::idle::{park_timeout, Idle};
 use crate::metrics::ThreadTracer;
 use crate::reliable::{DeathReason, DetectorConfig, PollAction, Recv, ReliableLink};
 use crate::runtime::NodeShared;
@@ -137,14 +143,14 @@ fn receive(
     let Some(link) = link else {
         node.metrics.comm_buffers_recv.add(shard, 1);
         node.metrics.comm_bytes_recv.add(shard, nbytes);
-        node.helper_in.push((src, payload));
+        node.push_helper_in(src, payload);
         return;
     };
     match link.on_packet(src, &payload, now_ns) {
         Recv::Deliver => {
             node.metrics.comm_buffers_recv.add(shard, 1);
             node.metrics.comm_bytes_recv.add(shard, nbytes);
-            node.helper_in.push((src, payload));
+            node.push_helper_in(src, payload);
         }
         // Duplicates were already processed once; acks carry no commands;
         // anything from a dead peer must not touch tokens that already
@@ -319,7 +325,8 @@ pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: T
         && node.config.heartbeat_idle_ns > 0;
     let kill_check_period_ns = node.config.heartbeat_idle_ns.max(1);
     let mut next_kill_check_ns = 0u64;
-    let mut idle = IdleBackoff::default();
+    let mut idle = Idle::default();
+    let bell = transport.doorbell();
     // Coarse-clock stamp of the last sweep that moved traffic, for the
     // sweep-gap histogram.
     let mut last_progress_ns = node.agg.tick();
@@ -456,7 +463,20 @@ pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: T
             if node.stopping() {
                 break;
             }
-            idle.wait();
+            let mut deadline = next_watchdog_ns;
+            if let Some(at) = link.as_ref().and_then(ReliableLink::next_deadline_ns) {
+                deadline = deadline.min(at);
+            }
+            if observe_kills {
+                deadline = deadline.min(next_kill_check_ns);
+            }
+            idle.wait(|| {
+                (*bell).as_ref().park(park_timeout(now, Some(deadline)), || {
+                    (0..node.agg.channels()).any(|c| node.agg.channel(c).backlog() > 0)
+                        || transport.pending() > 0
+                        || node.stopping()
+                });
+            });
         }
     }
     // Shutdown: release every flow-parked emitter (they observe

@@ -27,13 +27,19 @@ pub struct Config {
     /// aggregation queue even if not full (the paper flushes blocks that
     /// "have been waiting longer than a predetermined time interval").
     ///
+    /// The timer only acts while the emitting thread still has other
+    /// runnable work: a thread that runs out of work flushes everything
+    /// it holds at once before it parks (the quiescence flush), since
+    /// waiting then buys no batching, only latency.
+    ///
     /// Timeouts are checked against the runtime's coarse monotonic clock,
     /// which advances once per worker pump / comm-server sweep rather than
     /// per command, so the effective granularity is one pump interval.
     pub cmd_block_timeout_ns: u64,
     /// Age (ns) after which an aggregation queue is drained into a buffer
-    /// and sent even if a full buffer's worth has not accumulated.
-    /// Same coarse-clock granularity as [`Config::cmd_block_timeout_ns`].
+    /// and sent even if a full buffer's worth has not accumulated. Like
+    /// [`Config::cmd_block_timeout_ns`], it only acts while the thread has
+    /// other runnable work, at the same coarse-clock granularity.
     pub aggregation_timeout_ns: u64,
     /// Maximum distinct `(array, offset)` cells tracked per destination in
     /// the command sink's combining table, which merges fire-and-forget

@@ -31,7 +31,7 @@
 use crate::aggregation::CommandSink;
 use crate::command::{BatchStage, Command, CommandIter};
 use crate::handle::{Distribution, Layout};
-use crate::idle::IdleBackoff;
+use crate::idle::{park_timeout, Idle};
 use crate::metrics::ThreadTracer;
 use crate::runtime::NodeShared;
 use crate::task::{complete_token, complete_token_n, Itb, ParForBody, ParentRef};
@@ -200,7 +200,7 @@ fn execute_control_or_reply(
                 // minted by the issuing parFor.
                 (unsafe { ParForBody::from_wire(body) }, Arc::from(args))
             };
-            node.itb_queue.push(Itb::new(
+            node.push_itb(Itb::new(
                 body,
                 args,
                 start,
@@ -640,14 +640,18 @@ unsafe fn reply_write(node: &Arc<NodeShared>, token: u64, write: impl FnOnce()) 
 /// channel queue to the communication server.
 pub fn helper_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
     tls::install(CommandSink::new(Arc::clone(&node.agg), chan));
+    let reader = node.memory.register_reader();
+    let bell = &node.helper_bells[chan - node.config.num_workers];
     let mut hs = HelperScratch::new();
-    let mut idle = IdleBackoff::default();
+    let mut idle = Idle::default();
     let batch = node.config.batch_apply;
     let buffer_size = node.config.buffer_size;
     // Commands start after the transport header the sender reserved (the
     // communication server validated its presence before delivering).
     let hdr = node.agg.header_reserve();
     loop {
+        // Top of the loop: no segment reference is held here.
+        reader.quiescent();
         let mut progressed = false;
         while let Some((src, buf)) = node.helper_in.pop() {
             let t0 = tracer.now_ns();
@@ -662,15 +666,25 @@ pub fn helper_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
             progressed = true;
         }
         tls::with_sink(|s| s.pump());
+        // `helper_in` is drained: nothing more will join the replies in
+        // the sink, so ship them now instead of at their timeout.
+        let pump_at = tls::with_sink(|s| s.flush_idle());
         if progressed {
             idle.reset();
         } else {
             if node.stopping() {
                 break;
             }
-            idle.wait();
+            idle.wait(|| {
+                let timeout = park_timeout(node.agg.now_ns(), pump_at);
+                reader.offline();
+                bell.park(timeout, || !node.helper_in.is_empty() || node.stopping());
+                reader.online();
+                node.agg.tick();
+            });
         }
     }
+    drop(reader);
     if let Some(mut sink) = tls::uninstall() {
         sink.flush_all();
     }

@@ -12,7 +12,9 @@
 use crate::handle::Layout;
 use crate::NodeId;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// One node's storage for one global array.
 pub struct Segment {
@@ -223,22 +225,110 @@ impl Chunk {
 /// monotonic (cluster-wide counter starting at 1), so a two-level slot
 /// table replaces the old `RwLock<HashMap>` outright.
 ///
-/// Freed segments are *retired*, not dropped: `free` swings the slot to a
-/// tombstone and parks the segment in a graveyard reclaimed when the node
-/// shuts down (`Drop`). A reader that raced the free therefore always
-/// dereferences a live segment; GMT programs that touch an array after
-/// freeing it still panic via the tombstone check. Memory for freed
-/// arrays is thus bounded by allocations per node lifetime, which mirrors
-/// the paper's runtime (GMT never returns segment memory to the OS
-/// mid-run either).
+/// Freed segments are *retired*, not dropped in place: `free` swings the
+/// slot to a tombstone and queues the segment, so a reader that raced
+/// the free always dereferences a live segment; GMT programs that touch
+/// an array after freeing it still panic via the tombstone check.
+///
+/// Retired segments are reclaimed by **quiescent-state reclamation**.
+/// The node's workers and helpers — the threads that run `with` — are
+/// registered [`QsbrReader`]s: each announces a quiescent point at the
+/// top of its loop (it holds no segment reference there) and goes
+/// offline while parked. A segment is dropped once every online reader
+/// has passed a quiescent point after its retirement. Any other thread
+/// that calls `with` pins the table for the duration of the call
+/// instead, which holds every reclamation back meanwhile.
 pub struct NodeMemory {
     chunks: Box<[AtomicPtr<Chunk>]>,
     live: AtomicUsize,
+    /// Identifies this table in the reader thread-local.
+    domain: usize,
+    /// Bumped by every retirement; a retired segment carries the value
+    /// its retirement produced.
+    epoch: AtomicU64,
+    /// Per registered reader: the epoch it saw at its last quiescent
+    /// point, or [`OFFLINE`] while parked.
+    readers: Mutex<Vec<Arc<AtomicU64>>>,
     // Each segment must stay at the address its slot-table pointer was
-    // minted from (racing readers may still hold it), so the graveyard
-    // stores the original boxes rather than moving segments into a Vec.
+    // minted from (racing readers may still hold it), so the retired
+    // queue stores the original boxes rather than moving segments.
     #[allow(clippy::vec_box)]
-    graveyard: Mutex<Vec<Box<Segment>>>,
+    retired: Mutex<Vec<(u64, Box<Segment>)>>,
+    /// `retired.len()`, readable without the lock (the hot path's
+    /// nothing-to-reclaim check).
+    retired_len: AtomicUsize,
+    /// Threads that are not online readers of this table and are inside
+    /// `with` right now.
+    pinned: AtomicUsize,
+}
+
+/// A reader's published epoch while it is parked: it holds no segment
+/// reference, so it holds back no reclamation.
+const OFFLINE: u64 = u64::MAX;
+
+/// Source of [`NodeMemory::domain`] ids (0 = none).
+static NEXT_DOMAIN: AtomicUsize = AtomicUsize::new(1);
+
+thread_local! {
+    /// The domain of the table this thread is an online reader of.
+    static ONLINE_IN: Cell<usize> = const { Cell::new(0) };
+}
+
+/// A registered reader thread of one [`NodeMemory`] (a worker or helper),
+/// online from registration until dropped or [`offline`](Self::offline).
+/// Not `Send`: the registration is the calling thread's.
+pub struct QsbrReader<'a> {
+    mem: &'a NodeMemory,
+    seen: Arc<AtomicU64>,
+    _thread_bound: std::marker::PhantomData<*const ()>,
+}
+
+impl QsbrReader<'_> {
+    /// A quiescent point: the thread holds no segment reference. Lets
+    /// every segment retired so far go, and reclaims what it can.
+    #[inline]
+    pub fn quiescent(&self) {
+        // Release: the reclaimer that acquires this value sees every
+        // access this thread made before it. Reading the epoch also
+        // orders later slot loads after the retirements it counts.
+        self.seen.store(self.mem.epoch.load(Ordering::Acquire), Ordering::Release);
+        self.mem.try_reclaim();
+    }
+
+    /// Goes offline before parking: the thread holds back no
+    /// reclamation until [`online`](Self::online).
+    pub fn offline(&self) {
+        ONLINE_IN.with(|d| d.set(0));
+        self.seen.store(OFFLINE, Ordering::SeqCst);
+        self.mem.try_reclaim();
+    }
+
+    /// Comes back online after a park, before touching any segment.
+    pub fn online(&self) {
+        self.seen.store(self.mem.epoch.load(Ordering::SeqCst), Ordering::SeqCst);
+        // A reclaimer that read OFFLINE before our store came after the
+        // tombstone swap of whatever it drops; this fence orders our
+        // slot loads after that swap, so they see the tombstone.
+        fence(Ordering::SeqCst);
+        ONLINE_IN.with(|d| d.set(self.mem.domain));
+    }
+}
+
+impl Drop for QsbrReader<'_> {
+    fn drop(&mut self) {
+        ONLINE_IN.with(|d| d.set(0));
+        self.mem.readers.lock().retain(|r| !Arc::ptr_eq(r, &self.seen));
+        self.mem.try_reclaim();
+    }
+}
+
+/// Releases a non-reader's pin on drop, so a panicking `with` unpins.
+struct Pin<'a>(&'a AtomicUsize);
+
+impl Drop for Pin<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Release);
+    }
 }
 
 impl Default for NodeMemory {
@@ -252,8 +342,65 @@ impl NodeMemory {
         NodeMemory {
             chunks: (0..N_CHUNKS).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect(),
             live: AtomicUsize::new(0),
-            graveyard: Mutex::new(Vec::new()),
+            domain: NEXT_DOMAIN.fetch_add(1, Ordering::Relaxed),
+            epoch: AtomicU64::new(0),
+            readers: Mutex::new(Vec::new()),
+            retired: Mutex::new(Vec::new()),
+            retired_len: AtomicUsize::new(0),
+            pinned: AtomicUsize::new(0),
         }
+    }
+
+    /// Registers the calling thread as an online reader (see the type
+    /// docs). The thread must announce quiescent points through the
+    /// returned guard, and may register with one table only.
+    pub fn register_reader(&self) -> QsbrReader<'_> {
+        let seen = {
+            let mut readers = self.readers.lock();
+            let seen = Arc::new(AtomicU64::new(self.epoch.load(Ordering::SeqCst)));
+            readers.push(Arc::clone(&seen));
+            seen
+        };
+        ONLINE_IN.with(|d| {
+            assert_eq!(d.get(), 0, "a thread reads at most one node memory");
+            d.set(self.domain);
+        });
+        QsbrReader { mem: self, seen, _thread_bound: std::marker::PhantomData }
+    }
+
+    /// Queues a segment the slot table no longer points to; it is
+    /// dropped once no reader can still hold it.
+    fn retire(&self, seg: Box<Segment>) {
+        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        {
+            let mut retired = self.retired.lock();
+            retired.push((epoch, seg));
+            self.retired_len.store(retired.len(), Ordering::Release);
+        }
+        self.try_reclaim();
+    }
+
+    /// Drops every retired segment that every online reader has passed
+    /// a quiescent point after, unless a non-reader is inside `with`.
+    fn try_reclaim(&self) {
+        if self.retired_len.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        let Some(mut retired) = self.retired.try_lock() else { return };
+        let oldest_seen =
+            self.readers.lock().iter().map(|r| r.load(Ordering::SeqCst)).min().unwrap_or(OFFLINE);
+        // A pin taken after this load sees the tombstones: the pinning
+        // thread fences between its pin and its slot load.
+        if self.pinned.load(Ordering::SeqCst) != 0 {
+            return;
+        }
+        retired.retain(|&(epoch, _)| epoch > oldest_seen);
+        self.retired_len.store(retired.len(), Ordering::Release);
+    }
+
+    /// Retired segments not reclaimed yet.
+    pub fn retired_segments(&self) -> usize {
+        self.retired_len.load(Ordering::Acquire)
     }
 
     #[inline]
@@ -312,12 +459,16 @@ impl NodeMemory {
             if cur.is_null() || cur == tombstone() {
                 return false;
             }
-            match slot.compare_exchange(cur, tombstone(), Ordering::AcqRel, Ordering::Acquire) {
+            // SeqCst: reclamation's argument orders this swap before the
+            // epoch bump and the reader fences (see `QsbrReader`).
+            match slot.compare_exchange(cur, tombstone(), Ordering::SeqCst, Ordering::Acquire) {
                 Ok(seg) => {
+                    self.live.fetch_sub(1, Ordering::Relaxed);
                     // Retire rather than drop: a concurrent `with` may
                     // still hold a reference into this segment.
-                    self.graveyard.lock().push(unsafe { Box::from_raw(seg) });
-                    self.live.fetch_sub(1, Ordering::Relaxed);
+                    // SAFETY: `seg` came from `Box::into_raw` in `alloc`,
+                    // and the successful swap made us its only owner.
+                    self.retire(unsafe { Box::from_raw(seg) });
                     return true;
                 }
                 Err(now) => cur = now,
@@ -347,14 +498,22 @@ impl NodeMemory {
     /// never-allocated — both programming errors in GMT as well).
     #[inline]
     pub fn with_batch<R>(&self, id: u64, f: impl FnOnce(&Segment) -> R) -> R {
+        let _pin = (ONLINE_IN.with(Cell::get) != self.domain).then(|| {
+            self.pinned.fetch_add(1, Ordering::SeqCst);
+            // Pairs with `try_reclaim`'s pin check: either it sees this
+            // pin, or the slot load below sees the tombstone.
+            fence(Ordering::SeqCst);
+            Pin(&self.pinned)
+        });
         let seg =
             self.slot(id, false).map(|s| s.load(Ordering::Acquire)).unwrap_or(std::ptr::null_mut());
         if seg.is_null() || seg == tombstone() {
             panic!("global array {id} is not allocated on this node");
         }
-        // Safety: live pointers are only ever retired to the graveyard
-        // (kept alive until this `NodeMemory` drops), never freed in
-        // place, so the reference cannot dangle.
+        // SAFETY: a retired segment is dropped only after every online
+        // reader passed a quiescent point — this thread is one and is
+        // inside `with`, so it has not — or, for any other thread, while
+        // nothing is pinned; our pin is held until `f` returns.
         f(unsafe { &*seg })
     }
 
@@ -379,7 +538,7 @@ impl Drop for NodeMemory {
                 }
             }
         }
-        // The graveyard (retired segments) drops with the struct.
+        // Retired segments drop with the struct.
     }
 }
 
@@ -568,6 +727,56 @@ mod tests {
         done.store(true, Ordering::Relaxed);
         reader.join().unwrap();
         assert_eq!(m.live_allocations(), 0);
+    }
+
+    #[test]
+    fn retired_segments_wait_for_every_online_reader() {
+        let m = std::sync::Arc::new(NodeMemory::new());
+        let layout = Layout::new(8, Distribution::Partition, 0, 1);
+        // No reader registered: a free reclaims at once.
+        m.alloc(1, &layout, 0);
+        assert!(m.free(1));
+        assert_eq!(m.retired_segments(), 0);
+        // A reader on another thread holds the next retirement back until
+        // it passes a quiescent point; an offline reader never does.
+        let (to_reader, reader_rx) = std::sync::mpsc::channel::<&str>();
+        let (to_main, main_rx) = std::sync::mpsc::channel::<()>();
+        let reader = std::thread::spawn({
+            let m = std::sync::Arc::clone(&m);
+            move || {
+                let r = m.register_reader();
+                to_main.send(()).unwrap();
+                for step in reader_rx {
+                    match step {
+                        "quiescent" => r.quiescent(),
+                        "offline" => r.offline(),
+                        _ => r.online(),
+                    }
+                    to_main.send(()).unwrap();
+                }
+            }
+        });
+        let step = |what| {
+            to_reader.send(what).unwrap();
+            main_rx.recv().unwrap();
+        };
+        main_rx.recv().unwrap();
+        m.alloc(2, &layout, 0);
+        assert!(m.free(2));
+        assert_eq!(m.retired_segments(), 1, "the online reader may still hold it");
+        step("quiescent");
+        assert_eq!(m.retired_segments(), 0, "reclaimed at the reader's quiescent point");
+        step("offline");
+        m.alloc(3, &layout, 0);
+        assert!(m.free(3));
+        assert_eq!(m.retired_segments(), 0, "an offline reader holds nothing back");
+        step("online");
+        m.alloc(4, &layout, 0);
+        assert!(m.free(4));
+        assert_eq!(m.retired_segments(), 1);
+        drop(to_reader);
+        reader.join().unwrap();
+        assert_eq!(m.retired_segments(), 0, "a departing reader releases its hold");
     }
 
     #[test]

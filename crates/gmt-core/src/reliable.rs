@@ -584,6 +584,45 @@ impl ReliableLink {
         Some(self.mark_dead_inner(node))
     }
 
+    /// The earliest coarse-clock time at which [`Self::poll`] has timer
+    /// work — a retransmit, standalone ack, heartbeat, suspicion or death
+    /// check, or notice round — or `None` while no timer is armed. The
+    /// communication server parks until then at most.
+    pub fn next_deadline_ns(&self) -> Option<u64> {
+        if !self.cleared.is_empty() {
+            return Some(0);
+        }
+        let det = self.detector;
+        let mut next: Option<u64> = None;
+        let mut arm = |at: u64| next = Some(next.map_or(at, |n| n.min(at)));
+        for (dst, p) in self.peers.iter().enumerate() {
+            if dst == self.me || p.dead {
+                continue;
+            }
+            if let Some(front) = p.rtx.front() {
+                arm(front.sent_ns.saturating_add(self.rto(front.attempts)));
+            }
+            if p.ack_due_ns != 0 {
+                arm(p.ack_due_ns);
+            }
+            if det.enabled() {
+                if p.last_heard_ns == 0 || p.last_sent_ns == 0 {
+                    arm(0); // the first sweep initialises the stamps
+                    continue;
+                }
+                arm(p.last_sent_ns.saturating_add(det.heartbeat_idle_ns));
+                if !p.suspected {
+                    arm(p.last_heard_ns.saturating_add(det.suspect_after_ns));
+                }
+                arm(p.last_heard_ns.saturating_add(det.death_timeout_ns));
+            }
+        }
+        for n in &self.notices {
+            arm(n.next_ns);
+        }
+        next
+    }
+
     /// Timer sweep: appends retransmissions, standalone acks, heartbeats,
     /// suspicion transitions, death declarations and notice dissemination
     /// to `out`. Called once per communication-server sweep.

@@ -16,14 +16,14 @@ use crate::commserver;
 use crate::config::Config;
 use crate::helper;
 use crate::metrics::{NodeMetrics, ThreadTracer};
-use crate::task::{Itb, RootTask, TaskControl};
+use crate::task::{Itb, ReadyQueue, RootTask, TaskControl};
 use crate::worker;
 use crate::{memory::NodeMemory, NodeId};
 use crossbeam::queue::SegQueue;
 use gmt_metrics::MetricsSnapshot;
 use gmt_net::{
-    loopback_mesh, shm_mesh, DeliveryMode, Fabric, FaultPlan, Payload, TrafficStats, Transport,
-    TransportSelect,
+    loopback_mesh, shm_mesh, DeliveryMode, Doorbell, Fabric, FaultPlan, Payload, TrafficStats,
+    Transport, TransportSelect,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -232,14 +232,22 @@ pub struct NodeShared {
     pub config: Config,
     pub memory: NodeMemory,
     pub agg: Arc<AggShared>,
-    /// Iteration blocks awaiting workers (§IV-D).
+    /// Iteration blocks awaiting workers (§IV-D). Push through
+    /// [`NodeShared::push_itb`], which wakes a parked worker.
     pub itb_queue: SegQueue<Arc<Itb>>,
-    /// Root tasks submitted from outside the runtime.
+    /// Root tasks submitted from outside the runtime. Push through
+    /// [`NodeShared::push_root`], which wakes a parked worker.
     pub root_queue: SegQueue<RootTask>,
     /// Received aggregation buffers awaiting helpers: (source node, bytes).
     /// Payloads are pooled: dropping one (after processing) returns the
-    /// buffer to the *sending* node's channel pool.
+    /// buffer to the *sending* node's channel pool. Push through
+    /// [`NodeShared::push_helper_in`], which wakes a parked helper.
     pub helper_in: SegQueue<(NodeId, Payload)>,
+    /// One wake queue per worker (index = worker channel); each worker
+    /// parks on its queue's doorbell.
+    pub(crate) ready_queues: Vec<Arc<ReadyQueue>>,
+    /// One doorbell per helper, which it parks on.
+    pub(crate) helper_bells: Vec<Doorbell>,
     /// Set once at shutdown.
     pub stop: AtomicBool,
     pub cluster: Arc<ClusterShared>,
@@ -283,6 +291,48 @@ impl NodeShared {
         self.stop.load(Ordering::Relaxed)
     }
 
+    /// Sets the stop flag and wakes every parked runtime thread of this
+    /// node so it observes it.
+    pub fn request_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        for q in &self.ready_queues {
+            q.bell().ring();
+        }
+        for bell in &self.helper_bells {
+            bell.ring();
+        }
+        (*self.transport.doorbell()).as_ref().ring();
+    }
+
+    /// Queues a root task and wakes a parked worker to take it.
+    pub fn push_root(&self, root: RootTask) {
+        self.root_queue.push(root);
+        Self::ring_one(self.ready_queues.iter().map(|q| q.bell()));
+    }
+
+    /// Queues an iteration block and wakes a parked worker to peel it.
+    pub fn push_itb(&self, itb: Arc<Itb>) {
+        self.itb_queue.push(itb);
+        Self::ring_one(self.ready_queues.iter().map(|q| q.bell()));
+    }
+
+    /// Queues a received buffer and wakes a parked helper to apply it.
+    pub fn push_helper_in(&self, src: NodeId, payload: Payload) {
+        self.helper_in.push((src, payload));
+        Self::ring_one(self.helper_bells.iter());
+    }
+
+    /// Wakes the first parked thread among `bells`. One wake per queued
+    /// item suffices: a thread that is not parked re-checks the shared
+    /// queue before it parks (see [`gmt_net::doorbell`]).
+    fn ring_one<'a>(bells: impl Iterator<Item = &'a Doorbell>) {
+        for bell in bells {
+            if bell.ring() {
+                return;
+            }
+        }
+    }
+
     /// Whether `node` was confirmed dead by the failure detector.
     pub fn peer_is_dead(&self, node: NodeId) -> bool {
         self.membership.is_dead(node)
@@ -311,8 +361,16 @@ impl NodeShared {
     }
 
     /// Registers a freshly spawned task with the stuck-task watchdog.
+    /// A full list drops its finished tasks before it grows, so it holds
+    /// at most about twice the live tasks between watchdog sweeps.
     pub(crate) fn register_task(&self, ctl: &Arc<TaskControl>) {
-        self.watch.lock().push(Arc::downgrade(ctl));
+        let mut watch = self.watch.lock();
+        if watch.len() == watch.capacity() {
+            watch.retain(|w| w.strong_count() > 0);
+            let live = watch.len();
+            watch.reserve(live);
+        }
+        watch.push(Arc::downgrade(ctl));
     }
 
     /// Watchdog sweep: prunes finished tasks, reports tasks parked on
@@ -427,7 +485,7 @@ impl NodeHandle {
         F: FnOnce(&crate::api::TaskCtx<'_>) -> R + Send + 'static,
     {
         let (tx, rx) = std::sync::mpsc::channel();
-        self.shared.root_queue.push(RootTask {
+        self.shared.push_root(RootTask {
             f: Box::new(move |ctx| {
                 let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx)));
                 let _ = tx.send(r);
@@ -653,6 +711,7 @@ fn boot_node(
         if config.reliable { crate::reliable::HEADER_LEN } else { 0 },
         config.combine_window,
         metrics.registry(),
+        transport.doorbell(),
     );
     let shared = Arc::new(NodeShared {
         node_id,
@@ -663,6 +722,8 @@ fn boot_node(
         itb_queue: SegQueue::new(),
         root_queue: SegQueue::new(),
         helper_in: SegQueue::new(),
+        ready_queues: (0..config.num_workers).map(|_| Arc::new(ReadyQueue::new())).collect(),
+        helper_bells: (0..config.num_helpers).map(|_| Doorbell::new()).collect(),
         stop: AtomicBool::new(false),
         cluster: Arc::clone(cluster_shared),
         metrics,
@@ -910,7 +971,7 @@ impl Cluster {
         }
         self.stopped = true;
         for n in &self.nodes {
-            n.shared.stop.store(true, Ordering::SeqCst);
+            n.shared.request_stop();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -1046,7 +1107,7 @@ impl NodeRuntime {
             return;
         }
         self.stopped = true;
-        self.node.shared().stop.store(true, Ordering::SeqCst);
+        self.node.shared().request_stop();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }

@@ -11,11 +11,45 @@
 
 use crate::NodeId;
 use crossbeam::queue::SegQueue;
+use gmt_net::Doorbell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Sentinel for "no node" in the failure/diagnostic fields.
 const NO_NODE: usize = usize::MAX;
+
+/// A worker's wake queue: slots of its tasks re-readied by other
+/// threads, plus the doorbell the worker parks on, rung by every push.
+#[derive(Default)]
+pub struct ReadyQueue {
+    slots: SegQueue<usize>,
+    bell: Doorbell,
+}
+
+impl ReadyQueue {
+    pub fn new() -> Self {
+        ReadyQueue::default()
+    }
+
+    /// Queues `slot` and wakes the worker if it is parked.
+    pub fn push(&self, slot: usize) {
+        self.slots.push(slot);
+        self.bell.ring();
+    }
+
+    pub fn pop(&self) -> Option<usize> {
+        self.slots.pop()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The doorbell the owning worker parks on.
+    pub fn bell(&self) -> &Doorbell {
+        &self.bell
+    }
+}
 
 /// Shared handle to a task used for wakeups from any thread of the node.
 pub struct TaskControl {
@@ -28,7 +62,7 @@ pub struct TaskControl {
     /// must simply requeue the task.
     park_intent: AtomicBool,
     /// The owning worker's ready queue (slot indices).
-    ready: Arc<SegQueue<usize>>,
+    ready: Arc<ReadyQueue>,
     /// Slot of this task in the owning worker's task table.
     slot: usize,
     /// Operations completed with an error (dead peer) since the last
@@ -69,7 +103,7 @@ const REPLY_ABANDONING: u8 = 1;
 const REPLY_ABANDONED: u8 = 2;
 
 impl TaskControl {
-    pub fn new(ready: Arc<SegQueue<usize>>, slot: usize) -> Arc<Self> {
+    pub fn new(ready: Arc<ReadyQueue>, slot: usize) -> Arc<Self> {
         Arc::new(TaskControl {
             pending: AtomicU32::new(0),
             parked: AtomicBool::new(false),
@@ -604,8 +638,8 @@ pub struct RootTask {
 mod tests {
     use super::*;
 
-    fn ctl() -> (Arc<TaskControl>, Arc<SegQueue<usize>>) {
-        let q = Arc::new(SegQueue::new());
+    fn ctl() -> (Arc<TaskControl>, Arc<ReadyQueue>) {
+        let q = Arc::new(ReadyQueue::new());
         (TaskControl::new(Arc::clone(&q), 7), q)
     }
 

@@ -4,17 +4,19 @@
 //! It prefers resuming re-readied tasks, then locally runnable ones, then
 //! peels chunks from iteration blocks / root tasks. Between scheduling
 //! steps it pumps its command sink so aged command blocks and aggregation
-//! queues drain (the paper's time-interval flush triggers).
+//! queues drain (the paper's time-interval flush triggers). With nothing
+//! left to run it flushes everything at once (the quiescence flush) and
+//! parks on its ready queue's doorbell, which task wakes and new root
+//! tasks or iteration blocks ring.
 
 use crate::aggregation::CommandSink;
 use crate::api::TaskCtx;
 use crate::command::Command;
-use crate::idle::IdleBackoff;
+use crate::idle::{park_timeout, Idle};
 use crate::metrics::ThreadTracer;
 use crate::runtime::NodeShared;
-use crate::task::{complete_token, Itb, ParentRef, RootTask, TaskControl};
+use crate::task::{complete_token, Itb, ParentRef, ReadyQueue, RootTask, TaskControl};
 use crate::tls;
-use crossbeam::queue::SegQueue;
 use gmt_context::{Coroutine, Resume, Stack};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -36,8 +38,9 @@ struct Worker {
     /// Channel index of this worker — also its counter shard.
     chan: usize,
     tracer: ThreadTracer,
-    /// Wakeups from helpers (slot indices), MPSC onto this worker.
-    ready: Arc<SegQueue<usize>>,
+    /// Wakeups from helpers (slot indices), MPSC onto this worker; its
+    /// doorbell is the one this worker parks on.
+    ready: Arc<ReadyQueue>,
     /// Task table; slot indices are stable for a task's lifetime.
     tasks: Vec<Option<Task>>,
     free_slots: Vec<usize>,
@@ -51,10 +54,10 @@ struct Worker {
 impl Worker {
     fn new(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) -> Self {
         Worker {
+            ready: Arc::clone(&node.ready_queues[chan]),
             node,
             chan,
             tracer,
-            ready: Arc::new(SegQueue::new()),
             tasks: Vec::new(),
             free_slots: Vec::new(),
             runnable: VecDeque::new(),
@@ -240,7 +243,7 @@ impl Worker {
                 self.node.metrics.itb_claims.add(self.chan, 1);
                 if itb.has_unclaimed() {
                     // Let other workers keep peeling this block.
-                    self.node.itb_queue.push(Arc::clone(&itb));
+                    self.node.push_itb(Arc::clone(&itb));
                 }
                 self.spawn_chunk(itb, range);
                 return true;
@@ -266,9 +269,12 @@ pub(crate) fn notify_parent(node: &Arc<NodeShared>, parent: ParentRef) {
 /// worker's channel queue to the communication server.
 pub fn worker_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
     tls::install(CommandSink::new(Arc::clone(&node.agg), chan));
-    let mut w = Worker::new(node, chan, tracer);
-    let mut idle = IdleBackoff::default();
+    let reader = node.memory.register_reader();
+    let mut w = Worker::new(Arc::clone(&node), chan, tracer);
+    let mut idle = Idle::default();
     loop {
+        // Top of the loop: no task holds a segment reference here.
+        reader.quiescent();
         let mut progressed = false;
         // 1. Wakeups from helpers.
         while let Some(slot) = w.ready.pop() {
@@ -301,9 +307,24 @@ pub fn worker_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
             if w.node.stopping() {
                 break;
             }
-            idle.wait();
+            // 4. Nothing to run: ship everything now, then park until a
+            // wake, a new work item, or stranded blocks need a pump.
+            let pump_at = tls::with_sink(|s| s.flush_idle());
+            idle.wait(|| {
+                let timeout = park_timeout(node.agg.now_ns(), pump_at);
+                reader.offline();
+                w.ready.bell().park(timeout, || {
+                    !w.ready.is_empty()
+                        || !node.root_queue.is_empty()
+                        || !node.itb_queue.is_empty()
+                        || node.stopping()
+                });
+                reader.online();
+                node.agg.tick();
+            });
         }
     }
+    drop(reader);
     // Flush whatever is left so in-flight protocols can drain elsewhere.
     if let Some(mut sink) = tls::uninstall() {
         sink.flush_all();

@@ -371,12 +371,11 @@ proptest! {
     /// the same token references as completing each token individually.
     #[test]
     fn ackn_completion_equals_ack_stream(stream in proptest::collection::vec(0usize..3, 1..40)) {
-        use crossbeam::queue::SegQueue;
-        use gmt_core::task::{complete_token, complete_token_n, token_from, TaskControl};
+        use gmt_core::task::{complete_token, complete_token_n, token_from, ReadyQueue, TaskControl};
         use std::sync::Arc;
 
         for batched in [false, true] {
-            let ready = Arc::new(SegQueue::new());
+            let ready = Arc::new(ReadyQueue::new());
             let ctls: Vec<_> =
                 (0..3).map(|slot| TaskControl::new(Arc::clone(&ready), slot)).collect();
             // Mint one token per stream element, as the issuing tasks'

@@ -7,7 +7,7 @@
 //! is a few dozen lines — the paper contrasts this with the ~700-line
 //! hand-optimized UPC version.
 
-use gmt_core::{Distribution, SpawnPolicy, TaskCtx};
+use gmt_core::{Distribution, GmtArray, SpawnPolicy, TaskCtx};
 use gmt_graph::DistGraph;
 
 /// Result of a distributed BFS.
@@ -67,24 +67,30 @@ pub fn gmt_bfs(ctx: &TaskCtx<'_>, g: &DistGraph, source: u64) -> BfsResult {
     }
 
     // Extract levels and free global state.
-    let mut bytes = vec![0u8; (n * 8) as usize];
-    ctx.get(&levels, 0, &mut bytes).unwrap();
-    let out: Vec<i64> =
-        bytes.chunks_exact(8).map(|c| i64::from_le_bytes(c.try_into().unwrap())).collect();
+    let out = read_words(ctx, &levels, n);
     ctx.free(levels);
     ctx.free(qa);
     ctx.free(qb);
     ctx.free(qsize);
 
+    // Degrees from one bulk read of the offsets, not a get per vertex.
+    let offsets = read_words(ctx, g.offsets_array(), n + 1);
     let mut visited = 0u64;
     let mut traversed = 0u64;
     for (v, &l) in out.iter().enumerate() {
         if l >= 0 {
             visited += 1;
-            traversed += g.degree(ctx, v as u64);
+            traversed += (offsets[v + 1] - offsets[v]) as u64;
         }
     }
     BfsResult { levels: out, visited, traversed_edges: traversed }
+}
+
+/// Reads the first `n` 8-byte words of `arr` with one blocking get.
+fn read_words(ctx: &TaskCtx<'_>, arr: &GmtArray, n: u64) -> Vec<i64> {
+    let mut bytes = vec![0u8; (n * 8) as usize];
+    ctx.get(arr, 0, &mut bytes).unwrap();
+    bytes.chunks_exact(8).map(|c| i64::from_le_bytes(c.try_into().unwrap())).collect()
 }
 
 #[cfg(test)]

@@ -341,7 +341,7 @@ fn watchdog_reports_stuck_tokens_when_reliability_is_off() {
     // root task directly. It parks forever on the swallowed put; at
     // shutdown the worker leaks it by design (its stack may still be a
     // reply target), so there is no completion to wait for.
-    cluster.node(0).shared().root_queue.push(gmt_core::task::RootTask {
+    cluster.node(0).shared().push_root(gmt_core::task::RootTask {
         f: Box::new(move |ctx| {
             let _ = ctx.put_value::<u64>(&arr, 20, 7);
         }),

@@ -138,7 +138,7 @@ fn eight_node_kill_converges_membership_and_fails_collectives() {
     // impossible. The waiter must then error out, not spin forever.
     let bar = cluster.node(0).run(|ctx| GlobalBarrier::new(ctx, 2));
     let (tx, rx) = mpsc::channel();
-    cluster.node(0).shared().root_queue.push(RootTask {
+    cluster.node(0).shared().push_root(RootTask {
         f: Box::new(move |ctx| {
             let _ = tx.send(bar.wait(ctx));
         }),
@@ -266,7 +266,7 @@ fn deadline_bounds_the_wait_when_detection_is_impossible() {
     cluster.install_faults(FaultPlan::new(seed).kill(1));
 
     let (tx, rx) = mpsc::channel();
-    cluster.node(0).shared().root_queue.push(RootTask {
+    cluster.node(0).shared().push_root(RootTask {
         f: Box::new(move |ctx| {
             // Tighter per-call deadline overrides the config-wide one.
             let first = ctx.get_value_deadline::<u64>(&arr, 20, 300_000_000);
@@ -325,7 +325,7 @@ fn kill_scenario(tag: &str, seed: u64, victims: &[NodeId], delay: Duration) {
 
     let bar = cluster.node(0).run(|ctx| GlobalBarrier::new(ctx, 2));
     let (bar_tx, bar_rx) = mpsc::channel();
-    cluster.node(0).shared().root_queue.push(RootTask {
+    cluster.node(0).shared().push_root(RootTask {
         f: Box::new(move |ctx| {
             let _ = bar_tx.send(bar.wait(ctx));
         }),
@@ -336,7 +336,7 @@ fn kill_scenario(tag: &str, seed: u64, victims: &[NodeId], delay: Duration) {
     // forbidden outcome is a hang.
     let csr = uniform_random(GraphSpec { vertices: 400, avg_degree: 4, seed });
     let (bfs_tx, bfs_rx) = mpsc::channel();
-    cluster.node(0).shared().root_queue.push(RootTask {
+    cluster.node(0).shared().push_root(RootTask {
         f: Box::new(move |ctx| {
             let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 let g = DistGraph::from_csr(ctx, &csr);

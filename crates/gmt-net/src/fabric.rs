@@ -18,6 +18,7 @@
 //!   (the whole point of GMT's multithreading) observable for real inside
 //!   one process.
 
+use crate::doorbell::{Doorbell, SharedBell};
 use crate::fault::{FaultDecision, FaultPlan, InstalledPlan};
 use crate::model::NetworkModel;
 use crate::payload::Payload;
@@ -93,6 +94,8 @@ struct Shared {
     mode: DeliveryMode,
     /// Inboxes, one per node.
     inbox_tx: Vec<Sender<Packet>>,
+    /// Inbound doorbells, one per node, rung after every inbox push.
+    bells: Vec<Arc<Doorbell>>,
     /// Wire-thread input (throttled mode only). Taken out (disconnecting
     /// the channel) when the fabric drops, so the wire thread exits and
     /// can be joined; subsequent sends observe [`NetError::Closed`].
@@ -121,12 +124,13 @@ impl Fabric {
         assert!(nodes > 0, "a fabric needs at least one node");
         let (inbox_tx, inbox_rx): (Vec<_>, Vec<_>) =
             (0..nodes).map(|_| channel::unbounded::<Packet>()).unzip();
+        let bells: Vec<Arc<Doorbell>> = (0..nodes).map(|_| Arc::new(Doorbell::new())).collect();
         let now = Instant::now();
         let (wire_tx, wire_thread) = match mode {
             DeliveryMode::Instant => (None, None),
             DeliveryMode::Throttled(_) => {
                 let (tx, rx) = channel::unbounded::<(Instant, Packet)>();
-                let inboxes = inbox_tx.clone();
+                let inboxes = Inboxes { tx: inbox_tx.clone(), bells: bells.clone() };
                 let handle = std::thread::Builder::new()
                     .name("gmt-net-wire".into())
                     .spawn(move || wire_loop(rx, inboxes))
@@ -138,6 +142,7 @@ impl Fabric {
             nodes,
             mode,
             inbox_tx,
+            bells,
             wire_tx: RwLock::new(wire_tx),
             ports: (0..nodes).map(|_| Mutex::new(Port { busy_until: now })).collect(),
             stats: Arc::new(TrafficStats::new(nodes)),
@@ -232,8 +237,24 @@ impl fmt::Debug for Fabric {
     }
 }
 
+/// Every node's inbox plus its doorbell, as the wire thread holds them.
+struct Inboxes {
+    tx: Vec<Sender<Packet>>,
+    bells: Vec<Arc<Doorbell>>,
+}
+
+impl Inboxes {
+    /// Delivers `pkt` and rings its receiver. The receiver may be gone
+    /// during shutdown; the packet then drops.
+    fn deliver(&self, pkt: Packet) {
+        let dst = pkt.dst;
+        let _ = self.tx[dst].send(pkt);
+        self.bells[dst].ring();
+    }
+}
+
 /// Wire thread: delivers packets at their deadline, in deadline order.
-fn wire_loop(rx: Receiver<(Instant, Packet)>, inboxes: Vec<Sender<Packet>>) {
+fn wire_loop(rx: Receiver<(Instant, Packet)>, inboxes: Inboxes) {
     // (deadline, seq) orders simultaneous deliveries by submission.
     let mut heap: BinaryHeap<Reverse<(Instant, u64)>> = BinaryHeap::new();
     let mut payloads: std::collections::HashMap<u64, Packet> = std::collections::HashMap::new();
@@ -247,8 +268,7 @@ fn wire_loop(rx: Receiver<(Instant, Packet)>, inboxes: Vec<Sender<Packet>>) {
             }
             heap.pop();
             let pkt = payloads.remove(&s).expect("packet for heap entry");
-            // Receiver may be gone during shutdown; ignore.
-            let _ = inboxes[pkt.dst].send(pkt);
+            inboxes.deliver(pkt);
         }
         // Wait for new input until the next deadline (or forever).
         let wait = heap.peek().map(|Reverse((d, _))| d.saturating_duration_since(Instant::now()));
@@ -275,7 +295,7 @@ fn wire_loop(rx: Receiver<(Instant, Packet)>, inboxes: Vec<Sender<Packet>>) {
                 rest.sort_by_key(|Reverse(k)| *k);
                 for Reverse((_deadline, s)) in rest {
                     let pkt = payloads.remove(&s).expect("packet for heap entry");
-                    let _ = inboxes[pkt.dst].send(pkt);
+                    inboxes.deliver(pkt);
                 }
                 return;
             }
@@ -357,7 +377,9 @@ impl Endpoint {
                     let _ = shared.inbox_tx[dst].send(pkt.clone());
                 }
                 shared.stats.record_recv(dst, bytes);
-                shared.inbox_tx[dst].send(pkt).map_err(|_| NetError::Closed)
+                let sent = shared.inbox_tx[dst].send(pkt).map_err(|_| NetError::Closed);
+                shared.bells[dst].ring();
+                sent
             }
             DeliveryMode::Throttled(model) => {
                 let deadline = {
@@ -418,6 +440,12 @@ impl Endpoint {
     /// Blocking receive with timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
         self.rx.recv_timeout(timeout).ok()
+    }
+
+    /// This node's inbound doorbell, rung after every delivery into its
+    /// inbox.
+    pub fn doorbell(&self) -> SharedBell {
+        Arc::clone(&self.shared.bells[self.node]) as SharedBell
     }
 
     /// Number of packets currently queued for this node.

@@ -4,14 +4,17 @@
 //! payload bytes between a fixed set of nodes, and differ only in the
 //! medium. [`FramedTransport`] implements [`Transport`] once over a
 //! backend's [`FrameLink`], which supplies only: writing one frame (once
-//! per copy), its receive step (shm polls its rings and parks on its
-//! doorbell; TCP's reader thread feeds the inbox), the frames pending
-//! below the inbox, severing one peer on a kill fault, closing on
-//! shutdown, and its backend counters.
+//! per copy), its receive step (shm polls its rings; TCP's reader thread
+//! feeds the inbox), the frames pending below the inbox, severing one
+//! peer on a kill fault, closing on shutdown, and its backend counters.
 //!
 //! The core owns the rest: the send preamble and zero-copy self-send,
-//! the inbox and receive pool, the frame header codec, the background
-//! thread (TCP's reader, shm's monitor) and an idempotent shutdown. It
+//! the inbox and receive pool, the frame header codec, the inbound
+//! [`Doorbell`] a blocking receive parks on, the background thread
+//! (TCP's reader, shm's monitor) and an idempotent shutdown. The bell is
+//! the backend's: a heap bell that every inbox push rings on TCP, the
+//! node slot's bell in the segment on shm, which remote senders ring
+//! after publishing a frame. It
 //! guarantees per-link FIFO (the inbox is read before anything below
 //! it), pooled receive payloads, and a bounded shutdown: later sends
 //! fail `Closed`, inbox packets stay receivable, and frames still below
@@ -43,6 +46,7 @@
 //! time. Evidence stops once our own shutdown began: tearing down our
 //! links makes peers lose us, not the reverse.
 
+use crate::doorbell::{Doorbell, SharedBell};
 use crate::fabric::{NetError, Packet, Tag};
 use crate::fault::{FaultPlan, InstalledPlan};
 use crate::payload::{BufRelease, Payload};
@@ -84,6 +88,9 @@ pub(crate) fn decode_header(hdr: &[u8]) -> Option<(usize, Tag)> {
     let tag = Tag::from_le_bytes(hdr[4..FRAME_HEADER].try_into().expect("4-byte slice"));
     (len <= MAX_FRAME).then_some((len, tag))
 }
+
+/// Polls a blocking receive spins through before parking on its bell.
+const RECV_SPIN_ROUNDS: usize = 64;
 
 /// Receive buffers cached per transport; beyond this, spent buffers are
 /// freed instead of re-pooled.
@@ -152,6 +159,10 @@ pub struct FrameCore {
     inbox_tx: Sender<Packet>,
     pub(crate) inbox_rx: Receiver<Packet>,
     pool: Arc<RecvPool>,
+    /// The inbound doorbell: rung by every inbox push and, on shm, by
+    /// remote senders; [`Transport::recv_timeout`] and the runtime's
+    /// communication server park on it.
+    bell: SharedBell,
 }
 
 impl FrameCore {
@@ -189,10 +200,16 @@ impl FrameCore {
         NetError::LinkDown { src: self.node, dst: peer }
     }
 
-    /// Puts a packet in the inbox. An unbounded channel cannot be full,
-    /// and it lives as long as this core, so the send cannot fail.
+    /// Puts a packet in the inbox and rings the inbound bell. An
+    /// unbounded channel cannot be full, and it lives as long as this
+    /// core, so the send cannot fail.
     pub(crate) fn spill(&self, pkt: Packet) {
         let _ = self.inbox_tx.send(pkt);
+        self.bell().ring();
+    }
+
+    fn bell(&self) -> &Doorbell {
+        (*self.bell).as_ref()
     }
 
     /// An empty receive buffer from the pool.
@@ -246,11 +263,6 @@ pub trait FrameLink: Send + Sync + 'static {
         None
     }
 
-    /// Blocking receive with timeout. Default: wait on the inbox.
-    fn recv_timeout(&self, core: &FrameCore, timeout: Duration) -> Option<Packet> {
-        core.inbox_rx.recv_timeout(timeout).ok()
-    }
-
     /// Frames below the inbox (counted by [`Transport::pending`]).
     fn pending(&self, _core: &FrameCore) -> usize {
         0
@@ -279,14 +291,16 @@ pub struct FramedTransport<L: FrameLink> {
 }
 
 impl<L: FrameLink> FramedTransport<L> {
-    /// Assembles node `node`'s transport over `link` and spawns its
-    /// background thread `thread_name` running `body`, which must return
-    /// once [`FrameCore::stopped`] holds.
+    /// Assembles node `node`'s transport over `link` with inbound
+    /// doorbell `bell` and spawns its background thread `thread_name`
+    /// running `body`, which must return once [`FrameCore::stopped`]
+    /// holds.
     pub(crate) fn new(
         node: NodeId,
         nodes: usize,
         stats: Arc<TrafficStats>,
         link: L,
+        bell: SharedBell,
         thread_name: String,
         body: impl FnOnce(Arc<FrameCore>) + Send + 'static,
     ) -> io::Result<FramedTransport<L>> {
@@ -301,6 +315,7 @@ impl<L: FrameLink> FramedTransport<L> {
             inbox_tx,
             inbox_rx,
             pool: Arc::new(RecvPool { bufs: SegQueue::new() }),
+            bell,
         });
         let thread = {
             let core = Arc::clone(&core);
@@ -376,8 +391,38 @@ impl<L: FrameLink> Transport for FramedTransport<L> {
         self.core.try_recv(&self.link)
     }
 
+    /// Polls, then parks on the inbound bell until a frame lands below
+    /// the inbox or in it. After shutdown only the inbox is left.
     fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
-        self.link.recv_timeout(&self.core, timeout)
+        let core = &*self.core;
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(pkt) = core.try_recv(&self.link) {
+                return Some(pkt);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if core.stopped() {
+                return core.inbox_rx.recv_timeout(left).ok();
+            }
+            if left.is_zero() {
+                return None;
+            }
+            let has_work =
+                || !core.inbox_rx.is_empty() || self.link.pending(core) > 0 || core.stopped();
+            // Short spin: under load the next frame lands within
+            // microseconds and parking would cost two syscalls.
+            if (0..RECV_SPIN_ROUNDS).any(|_| {
+                std::hint::spin_loop();
+                has_work()
+            }) {
+                continue;
+            }
+            core.bell().park(left, has_work);
+        }
+    }
+
+    fn doorbell(&self) -> SharedBell {
+        Arc::clone(&self.core.bell)
     }
 
     fn pending(&self) -> usize {
@@ -432,6 +477,7 @@ impl<L: FrameLink> Transport for FramedTransport<L> {
             return; // idempotent
         }
         self.link.close(&self.core);
+        self.core.bell().ring();
         // The background thread polls `stop`, so this join is bounded.
         if let Some(h) = self.thread.lock().take() {
             h.join().ok();

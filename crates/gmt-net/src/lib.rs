@@ -18,6 +18,8 @@
 //!   scheduling noise.
 //! * [`transport`] — the object-safe [`Transport`] trait every backend
 //!   implements; everything above the wire is written against it.
+//! * [`doorbell`] — the futex [`Doorbell`] every idle thread of the
+//!   runtime parks on, inbound-frame receivers included.
 //! * [`framed`] — the one `Transport` implementation under both real
 //!   backends: send path, fault shim, inbox, connection-loss evidence
 //!   and shutdown, over a backend-supplied [`framed::FrameLink`]; plus
@@ -38,6 +40,7 @@
 //! 9.2 MB/s for 16-byte messages, matching the paper's reported 9.63 MB/s.
 //! See [`model::NetworkModel::olympus`].
 
+pub mod doorbell;
 pub mod fabric;
 pub mod fault;
 pub mod framed;
@@ -45,9 +48,11 @@ pub mod model;
 pub mod payload;
 pub mod shm;
 pub mod stats;
+mod sys;
 pub mod tcp;
 pub mod transport;
 
+pub use doorbell::{Doorbell, SharedBell};
 pub use fabric::{DeliveryMode, Endpoint, Fabric, NetError, Packet, Tag};
 pub use fault::{seed_from_env, FaultPlan, FlapWindow};
 pub use framed::{connect, Control};

@@ -17,7 +17,7 @@
 //! ```text
 //! [SegHeader 128 B]                      magic, nodes, ring_cap, creator pid
 //! [NodeSlot  128 B] × nodes              pid, liveness state, doorbell,
-//!                                        sleeping flag, done word
+//!                                        done word
 //! [Ring hdr 384 B + ring_cap B] × nodes² ring (src,dst) at src*nodes+dst
 //! ```
 //!
@@ -33,17 +33,15 @@
 //!
 //! # Doorbell protocol
 //!
-//! A receiver that finds all rings empty spins briefly, then arms the
-//! Dekker handshake: publish `sleeping = 1`, fence, re-check every ring
-//! plus the inbox, and only then `FUTEX_WAIT` on its doorbell word with
-//! the value read *before* arming. A sender, after publishing `tail`,
-//! fences and reads `sleeping`; if set it bumps the doorbell and wakes
-//! the futex (counted in `net.shm.doorbell_wakes`), otherwise — when
-//! the ring was empty before the frame — the wake was provably
-//! unnecessary and is counted as `net.shm.doorbell_suppressed`. A
-//! sender that lands between the receiver's value read and its wait
-//! changes the doorbell value, so the wait returns immediately: no lost
-//! wakeups, no spurious-wake hazard.
+//! Each node slot holds the node's [`Doorbell`], the same type every
+//! idle runtime thread parks on (see [`crate::doorbell`] for the
+//! handshake). It is the transport's inbound bell: the node's receiver
+//! (its communication server) parks on it, and a sender rings it after
+//! publishing `tail`. A ring that finds the receiver parked wakes it
+//! (counted in `net.shm.doorbell_wakes`); otherwise — when the ring was
+//! empty before the frame — the wake was provably unnecessary and is
+//! counted as `net.shm.doorbell_suppressed`. Because the bell lives in
+//! the segment, a sender in another process rings it the same way.
 //!
 //! A full ring blocks the sender (counted once per blocked send in
 //! `net.shm.full_waits`) — but while waiting it drains its *own*
@@ -68,17 +66,19 @@
 //! temp-file guard doubles as a backstop for launches that die between
 //! create and attach.
 
+use crate::doorbell::{Doorbell, SharedBell};
 use crate::fabric::{NetError, Packet, Tag};
 use crate::framed::{
     decode_header, encode_header, handshake_timeout, poll_until, Barrier, Control, FrameCore,
     FrameLink, FramedTransport, FRAME_HEADER,
 };
 use crate::stats::TrafficStats;
+use crate::sys;
 use crate::NodeId;
 use parking_lot::Mutex;
 use std::io::{self, ErrorKind};
 use std::path::Path;
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -103,11 +103,9 @@ const DEFAULT_RING_BYTES: usize = 1 << 20;
 const MIN_RING_BYTES: usize = 1 << 16;
 const MAX_RING_BYTES: usize = 1 << 28;
 
-/// How many spin iterations a receiver burns before arming the doorbell,
-/// and how long a sender sleeps between full-ring retries. Both are
-/// deliberately small: CI hosts may have a single core, where the
-/// blocked side must yield for the other side to make progress.
-const SPIN_ROUNDS: usize = 64;
+/// How long a sender sleeps between full-ring retries. Deliberately
+/// small: CI hosts may have a single core, where the blocked side must
+/// yield for the other side to make progress.
 const FULL_RETRY: Duration = Duration::from_micros(50);
 
 /// Monitor poll period — the crash-evidence latency floor. 2 ms keeps
@@ -145,131 +143,6 @@ fn pid_alive(pid: u64) -> bool {
     }
 }
 
-/// Raw-syscall shims: the workspace vendors no libc binding, so mmap and
-/// futex go through the stable kernel ABI directly on x86-64 Linux. The
-/// fallback keeps the heap mesh functional anywhere (futex waits degrade
-/// to bounded sleeps); cross-process attach needs the real thing.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-mod sys {
-    use std::sync::atomic::AtomicU32;
-    use std::time::Duration;
-
-    const SYS_MMAP: i64 = 9;
-    const SYS_MUNMAP: i64 = 11;
-    const SYS_FUTEX: i64 = 202;
-    const FUTEX_WAIT: i64 = 0;
-    const FUTEX_WAKE: i64 = 1;
-    const PROT_READ_WRITE: i64 = 0x3;
-    const MAP_SHARED: i64 = 0x1;
-
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-
-    /// One raw syscall. rcx/r11 are clobbered by the `syscall`
-    /// instruction itself; errors come back as `-errno`.
-    unsafe fn syscall6(n: i64, a1: i64, a2: i64, a3: i64, a4: i64, a5: i64, a6: i64) -> i64 {
-        let ret: i64;
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") n => ret,
-                in("rdi") a1,
-                in("rsi") a2,
-                in("rdx") a3,
-                in("r10") a4,
-                in("r8") a5,
-                in("r9") a6,
-                out("rcx") _,
-                out("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    pub(super) const FILE_MMAP_SUPPORTED: bool = true;
-
-    /// Maps `len` bytes of `file` shared read-write.
-    pub(super) fn map_file(file: &std::fs::File, len: usize) -> std::io::Result<*mut u8> {
-        use std::os::unix::io::AsRawFd;
-        let ret = unsafe {
-            syscall6(
-                SYS_MMAP,
-                0,
-                len as i64,
-                PROT_READ_WRITE,
-                MAP_SHARED,
-                file.as_raw_fd() as i64,
-                0,
-            )
-        };
-        if (-4095..0).contains(&ret) {
-            Err(std::io::Error::from_raw_os_error(-ret as i32))
-        } else {
-            Ok(ret as *mut u8)
-        }
-    }
-
-    pub(super) unsafe fn unmap(ptr: *mut u8, len: usize) {
-        unsafe { syscall6(SYS_MUNMAP, ptr as i64, len as i64, 0, 0, 0, 0) };
-    }
-
-    /// `FUTEX_WAIT`: sleeps while `*word == expected`, at most `timeout`.
-    /// EAGAIN (value changed), EINTR and ETIMEDOUT are all fine — every
-    /// caller re-checks its condition in a loop.
-    pub(super) fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) {
-        let ts = Timespec {
-            tv_sec: timeout.as_secs() as i64,
-            tv_nsec: i64::from(timeout.subsec_nanos()),
-        };
-        unsafe {
-            syscall6(
-                SYS_FUTEX,
-                word.as_ptr() as i64,
-                FUTEX_WAIT,
-                i64::from(expected),
-                std::ptr::from_ref(&ts) as i64,
-                0,
-                0,
-            );
-        }
-    }
-
-    /// `FUTEX_WAKE`: wakes up to `n` waiters on `word`.
-    pub(super) fn futex_wake(word: &AtomicU32, n: i32) {
-        unsafe { syscall6(SYS_FUTEX, word.as_ptr() as i64, FUTEX_WAKE, i64::from(n), 0, 0, 0) };
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-mod sys {
-    use std::sync::atomic::AtomicU32;
-    use std::time::Duration;
-
-    pub(super) const FILE_MMAP_SUPPORTED: bool = false;
-
-    pub(super) fn map_file(_file: &std::fs::File, _len: usize) -> std::io::Result<*mut u8> {
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "shm cross-process attach needs the x86-64 Linux syscall shim",
-        ))
-    }
-
-    pub(super) unsafe fn unmap(_ptr: *mut u8, _len: usize) {}
-
-    /// Degraded doorbell: a bounded sleep instead of a futex wait. The
-    /// heap mesh stays correct (the receiver re-polls on wake), just
-    /// with millisecond idle latency instead of a targeted wake.
-    pub(super) fn futex_wait(_word: &AtomicU32, _expected: u32, timeout: Duration) {
-        std::thread::sleep(timeout.min(Duration::from_millis(1)));
-    }
-
-    pub(super) fn futex_wake(_word: &AtomicU32, _n: i32) {}
-}
-
 /// Segment header (one per segment). `magic` is stored last with release
 /// ordering by the creator; a reader that acquires it sees the rest.
 #[repr(C, align(128))]
@@ -290,11 +163,9 @@ struct NodeSlot {
     /// `STATE_EMPTY` → `STATE_ALIVE` on attach → `STATE_GONE` on clean
     /// shutdown. A SIGKILL leaves `ALIVE`; the pid check catches it.
     state: AtomicU32,
-    /// Futex word; bumped by senders to wake a parked receiver.
-    doorbell: AtomicU32,
-    /// Dekker flag: set while the receiver is arming/inside a futex
-    /// wait, so senders know a wake is needed at all.
-    sleeping: AtomicU32,
+    /// The node's inbound doorbell: senders ring it after publishing a
+    /// frame, the node's receiver parks on it.
+    bell: Doorbell,
     /// End-of-job barrier word ([`Control`]).
     done: AtomicU32,
     _pad: [u8; 104],
@@ -494,19 +365,24 @@ pub struct ShmLink {
     rx: Mutex<usize>,
 }
 
-impl ShmLink {
-    /// Bumps `peer`'s doorbell and wakes its futex unconditionally —
-    /// shutdown/kill paths use this so a parked peer re-checks state.
-    fn ring_doorbell(&self, peer: NodeId) {
-        let slot = self.seg.slot(peer);
-        slot.doorbell.fetch_add(1, Ordering::SeqCst);
-        sys::futex_wake(&slot.doorbell, i32::MAX);
-    }
+/// Node `node`'s doorbell in the segment, as a [`SharedBell`] that
+/// keeps the segment mapped.
+struct SlotBell {
+    seg: Arc<Segment>,
+    node: NodeId,
+}
 
-    /// Whether any inbound ring has a published frame.
-    fn any_ring_pending(&self, core: &FrameCore) -> bool {
-        self.inbound(core)
-            .any(|r| r.hdr.tail.load(Ordering::Acquire) != r.hdr.head.load(Ordering::Relaxed))
+impl AsRef<Doorbell> for SlotBell {
+    fn as_ref(&self) -> &Doorbell {
+        &self.seg.slot(self.node).bell
+    }
+}
+
+impl ShmLink {
+    /// Rings `peer`'s doorbell — shutdown/kill paths use this so a
+    /// parked peer re-checks state.
+    fn ring_doorbell(&self, peer: NodeId) {
+        self.seg.slot(peer).bell.ring();
     }
 
     /// The unsevered rings into this node.
@@ -662,14 +538,7 @@ impl ShmLink {
 
     /// Post-publish doorbell decision plus occupancy accounting.
     fn after_publish(&self, dst: NodeId, ring: RingRef<'_>, was_empty: bool) {
-        // Pairs with the receiver's fence between `sleeping = 1` and its
-        // final ring re-check: either it sees our tail, or we see its
-        // sleeping flag.
-        fence(Ordering::SeqCst);
-        let slot = self.seg.slot(dst);
-        if slot.sleeping.load(Ordering::SeqCst) != 0 {
-            slot.doorbell.fetch_add(1, Ordering::SeqCst);
-            sys::futex_wake(&slot.doorbell, i32::MAX);
+        if self.seg.slot(dst).bell.ring() {
             self.counters.doorbell_wakes.fetch_add(1, Ordering::Relaxed);
         } else if was_empty {
             self.counters.doorbell_suppressed.fetch_add(1, Ordering::Relaxed);
@@ -715,56 +584,6 @@ impl FrameLink for ShmLink {
 
     fn poll(&self, core: &FrameCore) -> Option<Packet> {
         self.poll_rings(core)
-    }
-
-    fn recv_timeout(&self, core: &FrameCore, timeout: Duration) -> Option<Packet> {
-        let deadline = Instant::now() + timeout;
-        let inbox = &core.inbox_rx;
-        loop {
-            if let Some(pkt) = core.try_recv(self) {
-                return Some(pkt);
-            }
-            if core.stopped() {
-                let left = deadline.saturating_duration_since(Instant::now());
-                return inbox.recv_timeout(left).ok();
-            }
-            // Short spin: under load the next frame lands within
-            // microseconds and parking would cost two syscalls.
-            let mut ready = false;
-            for _ in 0..SPIN_ROUNDS {
-                if self.any_ring_pending(core) || !inbox.is_empty() {
-                    ready = true;
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-            if ready {
-                continue;
-            }
-            // Park on the doorbell. Order matters: read the ticket,
-            // publish `sleeping`, fence, re-check everything — a sender
-            // publishing concurrently either sees `sleeping` (and rings)
-            // or its frame is visible to the re-check (see the module
-            // docs' doorbell protocol).
-            let slot = self.seg.slot(core.node);
-            let ticket = slot.doorbell.load(Ordering::Acquire);
-            slot.sleeping.store(1, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            if self.any_ring_pending(core) || !inbox.is_empty() || core.stopped() {
-                slot.sleeping.store(0, Ordering::SeqCst);
-                continue;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                slot.sleeping.store(0, Ordering::SeqCst);
-                return None;
-            }
-            sys::futex_wait(&slot.doorbell, ticket, left);
-            slot.sleeping.store(0, Ordering::SeqCst);
-            if Instant::now() >= deadline {
-                return core.try_recv(self);
-            }
-        }
     }
 
     fn pending(&self, core: &FrameCore) -> usize {
@@ -826,9 +645,16 @@ fn from_segment(
         tx: (0..nodes).map(|_| Mutex::new(())).collect(),
         rx: Mutex::new(0),
     };
-    FramedTransport::new(node, nodes, stats, link, format!("gmt-shm-mon-{node}"), move |core| {
-        monitor_loop(&core, &seg)
-    })
+    let bell: SharedBell = Arc::new(SlotBell { seg: Arc::clone(&seg), node });
+    FramedTransport::new(
+        node,
+        nodes,
+        stats,
+        link,
+        bell,
+        format!("gmt-shm-mon-{node}"),
+        move |core| monitor_loop(&core, &seg),
+    )
 }
 
 /// The crash-evidence monitor: turns peer state words, severed rings

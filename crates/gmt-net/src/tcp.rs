@@ -556,9 +556,16 @@ fn join_mesh(
         }
     }
     let link = TcpLink { streams: streams.into_iter().map(Mutex::new).collect() };
-    FramedTransport::new(node, nodes, stats, link, format!("gmt-tcp-rx-{node}"), move |core| {
-        reader_loop(&core, inbound)
-    })
+    let bell = Arc::new(crate::Doorbell::new());
+    FramedTransport::new(
+        node,
+        nodes,
+        stats,
+        link,
+        bell,
+        format!("gmt-tcp-rx-{node}"),
+        move |core| reader_loop(&core, inbound),
+    )
 }
 
 /// Node 0's half of rendezvous phase 1: accept every peer's

@@ -47,6 +47,7 @@
 //! when a fault plan asks for it. Code must not rely on any of these
 //! outside sim-pinned tests.
 
+use crate::doorbell::SharedBell;
 use crate::fabric::{Endpoint, NetError, Packet, Tag};
 use crate::fault::FaultPlan;
 use crate::stats::TrafficStats;
@@ -74,6 +75,12 @@ pub trait Transport: Send + Sync {
 
     /// Blocking receive with timeout.
     fn recv_timeout(&self, timeout: Duration) -> Option<Packet>;
+
+    /// The inbound doorbell: rung whenever a packet becomes receivable
+    /// here (see [`crate::doorbell`]). A receiver that polls
+    /// [`Transport::try_recv`] parks on it between polls, and may ring
+    /// it itself to hand the receiving thread other work.
+    fn doorbell(&self) -> SharedBell;
 
     /// Packets currently queued in the inbox.
     fn pending(&self) -> usize;
@@ -158,6 +165,10 @@ impl Transport for Endpoint {
 
     fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
         Endpoint::recv_timeout(self, timeout)
+    }
+
+    fn doorbell(&self) -> SharedBell {
+        Endpoint::doorbell(self)
     }
 
     fn pending(&self) -> usize {
